@@ -1,72 +1,55 @@
 """Finite compressions of spectral-projection sandwiches, witness-sequence
 protocols, and the extension index ladder for two boundary-value models
-(the unit interval and the unit disc)."""
+(the unit interval and the unit disc).
 
-from .analysis import (
-    SweepProfile,
-    WitnessReport,
-    compression_sweep,
-    singular_values,
-    witness_protocol,
-)
-from .aps import aps_index, aps_kernel_dims, kernel_function_residual
-from .disc import (
-    DiscCompression,
-    DiscMode,
-    assemble_disc_compression,
-    disc_matrix_element,
-    disc_witness,
-)
-from .interval import (
-    FourierMode,
-    IntervalCompression,
-    WitnessVector,
-    assemble_interval_compression,
-    interval_witness,
-    position_matrix_element,
-)
-from .quadrature import QuadratureRule, gauss_legendre_unit, oracle_disc_element, radial_integral
-from .specfun import (
-    BesselZeroTable,
-    bessel_i,
-    bessel_j,
-    bessel_zero,
-    bessel_zeros,
-    digamma,
-    trigamma,
-)
+The public names below load their module on first access (PEP 562), so
+importing the package loads no numerical library; `noncompact.cli` relies on
+that to set the BLAS thread count before numpy starts.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BesselZeroTable",
-    "DiscCompression",
-    "DiscMode",
-    "FourierMode",
-    "IntervalCompression",
-    "QuadratureRule",
-    "SweepProfile",
-    "WitnessReport",
-    "WitnessVector",
-    "aps_index",
-    "aps_kernel_dims",
-    "assemble_disc_compression",
-    "assemble_interval_compression",
-    "bessel_i",
-    "bessel_j",
-    "bessel_zero",
-    "bessel_zeros",
-    "compression_sweep",
-    "digamma",
-    "disc_matrix_element",
-    "disc_witness",
-    "gauss_legendre_unit",
-    "interval_witness",
-    "kernel_function_residual",
-    "oracle_disc_element",
-    "position_matrix_element",
-    "radial_integral",
-    "singular_values",
-    "trigamma",
-    "witness_protocol",
-]
+# Public name -> defining module.
+_EXPORTS = {
+    "SweepProfile": "analysis",
+    "WitnessReport": "analysis",
+    "compression_sweep": "analysis",
+    "singular_values": "analysis",
+    "witness_protocol": "analysis",
+    "aps_index": "aps",
+    "aps_kernel_dims": "aps",
+    "kernel_function_residual": "aps",
+    "DiscCompression": "disc",
+    "DiscMode": "disc",
+    "assemble_disc_compression": "disc",
+    "disc_matrix_element": "disc",
+    "disc_witness": "disc",
+    "FourierMode": "interval",
+    "IntervalCompression": "interval",
+    "WitnessVector": "interval",
+    "assemble_interval_compression": "interval",
+    "interval_witness": "interval",
+    "position_matrix_element": "interval",
+    "QuadratureRule": "quadrature",
+    "gauss_legendre_unit": "quadrature",
+    "oracle_disc_element": "quadrature",
+    "radial_integral": "quadrature",
+    "BesselZeroTable": "specfun",
+    "bessel_i": "specfun",
+    "bessel_j": "specfun",
+    "bessel_zero": "specfun",
+    "bessel_zeros": "specfun",
+    "digamma": "specfun",
+    "trigamma": "specfun",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)

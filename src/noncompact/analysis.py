@@ -69,19 +69,22 @@ class SweepProfile:
 
 
 def disc_sweep_dims(size: int) -> tuple[int, int]:
-    """(n_max, k_max) for a disc compression of about the requested size;
-    2 * n_max * k_max modes with k_max = 2 n_max, exact for powers of 4."""
+    """(n_max, k_max) for a disc compression of a requested size:
+    n_max = floor(sqrt(size / 8)) (at least 1) and k_max = 2 n_max, giving
+    2 n_max k_max = 4 n_max^2 modes, at most size / 2 for size >= 8 (the
+    sizes 64, 256, 1024 and 4096 give 16, 100, 484 and 1936)."""
     n_max = max(1, int(math.floor(math.sqrt(size / 8.0))))
     return n_max, 2 * n_max
 
 
-def _sweep_matrix(model: str, size: int) -> np.ndarray:
-    if model == "interval":
-        return _interval.assemble_interval_compression(size, size).matrix
-    n_max, k_max = disc_sweep_dims(size)
-    return _disc.assemble_disc_compression(
-        n_max, k_max, remove_correction=True
-    ).matrix
+# All singular values, descending, of each model's compression at a
+# requested size, computed from its structure without assembling it.
+SWEEP_SPECTRA = {
+    "interval": lambda size: _interval.interval_singular_values(size),
+    "disc": lambda size: _disc.disc_singular_values(
+        *disc_sweep_dims(size), remove_correction=True
+    ),
+}
 
 
 def compression_sweep(
@@ -93,21 +96,15 @@ def compression_sweep(
         raise ValueError(f"model must be one of {MODELS}, got {model!r}")
     if list(sizes) != sorted(set(sizes)):
         raise ValueError("sizes must be strictly increasing")
-    sv_lists: list[np.ndarray] = []
-    counts: list[list[int]] = []
-    dims: list[int] = []
-    for size in sizes:
-        matrix = _sweep_matrix(model, size)
-        sv = singular_values(matrix)
-        sv_lists.append(sv)
-        counts.append([int(np.sum(sv >= t)) for t in thresholds])
-        dims.append(matrix.shape[0])
+    if sizes and sizes[0] < 1:
+        raise ValueError("sizes must be >= 1")
+    spectra = [SWEEP_SPECTRA[model](size) for size in sizes]
     return SweepProfile(
         model=model,
-        sizes=dims,
+        sizes=[len(sv) for sv in spectra],
         thresholds=list(thresholds),
-        singular_values=sv_lists,
-        counts_above=counts,
+        singular_values=spectra,
+        counts_above=[[int(np.sum(sv >= t)) for t in thresholds] for sv in spectra],
     )
 
 

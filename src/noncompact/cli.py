@@ -148,6 +148,8 @@ def main(argv: list[str] | None = None) -> int:
     # sweep
     if list(args.sizes) != sorted(set(args.sizes)):
         return config_error("--sizes must be strictly increasing")
+    if args.sizes[0] < 1:
+        return config_error("--sizes entries must be >= 1")
     payloads = []
     ok = True
     for model in analysis.MODELS:

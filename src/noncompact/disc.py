@@ -99,6 +99,32 @@ class DiscCompression:
     k_correction_removed: bool
 
 
+def _compression_blocks(n_max: int, k_max: int, remove_correction: bool):
+    """The 2 n_max - 1 nonzero k_max x k_max blocks of the compression, as
+    ((row branch, row n), (column branch, column n), block).  No two blocks
+    share a row block or a column block."""
+    if n_max < 1 or k_max < 1:
+        raise ValueError("n_max and k_max must be >= 1")
+    # alphas[n][k-1] = alpha_{n,k}
+    alphas = [specfun.bessel_zeros(n, k_max) for n in range(n_max)]
+    # Branch (1,1): row n = m+1 couples to column m.
+    for m in range(1, n_max):
+        a = alphas[m][:, None]  # alpha_{m,k}
+        b = alphas[m - 1][None, :]  # alpha_{m-1,ell}
+        yield (1, m + 1), (1, m), 2.0 * a / ((a - b) * (a + b) ** 2)
+    # Branch (2,2): row n couples to column m = n+1.
+    for n in range(1, n_max):
+        a = alphas[n - 1][:, None]  # alpha_{n-1,k}
+        b = alphas[n][None, :]  # alpha_{n,ell}
+        yield (2, n), (2, n + 1), 2.0 * b / ((a - b) * (b + a) ** 2)
+    # Branch (1,2): only n = m = 1 survives.
+    a0 = alphas[0]
+    b12 = 1.0 / (a0[:, None] + a0[None, :])
+    diag = 1.0 / a0 - (1.0 / (2.0 * a0) if remove_correction else 0.0)
+    np.fill_diagonal(b12, diag)
+    yield (1, 1), (2, 1), b12
+
+
 def assemble_disc_compression(
     n_max: int, k_max: int, remove_correction: bool = False
 ) -> DiscCompression:
@@ -112,31 +138,14 @@ def assemble_disc_compression(
         raise CompressionSizeError(
             f"{dim} x {dim} compression exceeds the allocation guard"
         )
-    # alphas[n][k-1] = alpha_{n,k}
-    alphas = [specfun.bessel_zeros(n, k_max) for n in range(n_max)]
-
     matrix = np.zeros((dim, dim), dtype=complex)
 
     def block(branch: int, n: int) -> slice:
         base = (branch - 1) * n_max * k_max + (n - 1) * k_max
         return slice(base, base + k_max)
 
-    # Branch (1,1): row n = m+1 couples to column m.
-    for m in range(1, n_max):
-        a = alphas[m][:, None]  # alpha_{m,k}
-        b = alphas[m - 1][None, :]  # alpha_{m-1,ell}
-        matrix[block(1, m + 1), block(1, m)] = 2.0 * a / ((a - b) * (a + b) ** 2)
-    # Branch (2,2): row n couples to column m = n+1.
-    for n in range(1, n_max):
-        a = alphas[n - 1][:, None]  # alpha_{n-1,k}
-        b = alphas[n][None, :]  # alpha_{n,ell}
-        matrix[block(2, n), block(2, n + 1)] = 2.0 * b / ((a - b) * (b + a) ** 2)
-    # Branch (1,2): only n = m = 1 survives.
-    a0 = alphas[0]
-    b12 = 1.0 / (a0[:, None] + a0[None, :])
-    diag = 1.0 / a0 - (1.0 / (2.0 * a0) if remove_correction else 0.0)
-    np.fill_diagonal(b12, diag)
-    matrix[block(1, 1), block(2, 1)] = b12
+    for rows, cols, values in _compression_blocks(n_max, k_max, remove_correction):
+        matrix[block(*rows), block(*cols)] = values
 
     return DiscCompression(
         matrix=matrix,
@@ -144,6 +153,19 @@ def assemble_disc_compression(
         col_modes=enumerate_modes(n_max, k_max, MINUS),
         k_correction_removed=remove_correction,
     )
+
+
+def disc_singular_values(
+    n_max: int, k_max: int, remove_correction: bool = False
+) -> np.ndarray:
+    """All 2 n_max k_max singular values, descending, of the disc compression,
+    without assembling it.  No two nonzero blocks share a row or a column
+    block, so the spectrum is the union of the blocks' spectra, padded with
+    zeros for the k_max rows that meet no block."""
+    blocks = [b for _, _, b in _compression_blocks(n_max, k_max, remove_correction)]
+    sv = np.zeros(2 * n_max * k_max)
+    sv[: len(blocks) * k_max] = np.linalg.svd(np.stack(blocks), compute_uv=False).ravel()
+    return -np.sort(-sv)
 
 
 def correction_singular_values(k_max: int) -> np.ndarray:

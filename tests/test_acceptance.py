@@ -253,9 +253,8 @@ def test_criterion_7_sweep_properties():
     assert nesting_ok
     assert interval_max_increasing
     assert fixture_ok
-    # Known-red clause: the count of singular values >= 0.05 saturates once
-    # the compression resolves every singular value of that magnitude (the
-    # limiting operator is bounded, so only finitely many exceed any fixed
-    # threshold); the count grows at small sizes and then plateaus, so strict
-    # growth across all four sizes does not hold.
+    # Known-red clause: the interval operator has spectrum [0, 1/2] (it is
+    # not compact), but its finite sections gain singular values above 0.05
+    # only like log N: the counts read 2, 3, 3, 3 here and 4 first at
+    # N = 16384, so strict growth across these four sizes does not hold.
     assert counts_increasing

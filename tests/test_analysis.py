@@ -1,10 +1,18 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from noncompact import analysis, cli, disc, specfun
+from noncompact import analysis, cli, disc, interval, specfun
+
+SRC = str(pathlib.Path(interval.__file__).resolve().parents[1])
 
 
 # --- singular values -----------------------------------------------------------
@@ -51,6 +59,8 @@ def test_singular_values_validation():
 def test_disc_sweep_dims():
     assert analysis.disc_sweep_dims(64) == (2, 4)
     assert analysis.disc_sweep_dims(256) == (5, 10)
+    dims = [2 * n * k for n, k in map(analysis.disc_sweep_dims, (64, 256, 1024, 4096))]
+    assert dims == [16, 100, 484, 1936]
     n_max, k_max = analysis.disc_sweep_dims(4096)
     assert 2 * n_max * k_max <= 4096
 
@@ -73,6 +83,62 @@ def test_sweep_validation():
         analysis.compression_sweep("circle", sizes=(8, 16))
     with pytest.raises(ValueError):
         analysis.compression_sweep("interval", sizes=(16, 8))
+    with pytest.raises(ValueError):
+        analysis.compression_sweep("disc", sizes=(0, 5))
+
+
+def test_interval_sweep_beyond_dense_size():
+    # 16384 x 16384 was refused by the dense allocation guard.
+    profile = analysis.compression_sweep("interval", sizes=(4096, 16384))
+    assert profile.sizes == [4096, 16384]
+    counts_05 = [row[profile.thresholds.index(0.05)] for row in profile.counts_above]
+    assert counts_05 == [3, 4]
+    maxima = [sv[0] for sv in profile.singular_values]
+    assert maxima[0] < maxima[1]
+    assert analysis.nesting_monotone(profile)
+
+
+# --- structured spectra against the dense oracle -----------------------------------
+
+
+def _assert_matches_dense(sv: np.ndarray, matrix: np.ndarray) -> None:
+    dense = analysis.singular_values(matrix)
+    assert sv.shape == dense.shape
+    assert np.all(np.diff(sv) <= 0)
+    np.testing.assert_allclose(sv, dense, rtol=0, atol=1e-12)
+    for t in analysis.DEFAULT_THRESHOLDS:
+        assert np.sum(sv >= t) == np.sum(dense >= t)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 512))
+@example(n=1)
+@example(n=512)
+def test_interval_singular_values_match_dense(n):
+    _assert_matches_dense(
+        interval.interval_singular_values(n),
+        interval.assemble_interval_compression(n, n).matrix,
+    )
+
+
+@st.composite
+def _disc_dims(draw):
+    # At most 2 * n_max * k_max = 512 modes.
+    n_max = draw(st.integers(1, 16))
+    return n_max, draw(st.integers(1, 256 // n_max))
+
+
+@settings(max_examples=30, deadline=None)
+@given(dims=_disc_dims(), remove_correction=st.booleans())
+@example(dims=(1, 1), remove_correction=False)
+@example(dims=(11, 22), remove_correction=True)
+@example(dims=(16, 16), remove_correction=False)
+def test_disc_singular_values_match_dense(dims, remove_correction):
+    n_max, k_max = dims
+    _assert_matches_dense(
+        disc.disc_singular_values(n_max, k_max, remove_correction),
+        disc.assemble_disc_compression(n_max, k_max, remove_correction).matrix,
+    )
 
 
 # --- witness protocol -------------------------------------------------------------
@@ -201,8 +267,10 @@ def test_cli_sweep(tmp_path):
     assert [d["model"] for d in data] == ["interval", "disc"]
 
 
-def test_cli_config_errors():
+def test_cli_config_errors(capsys):
     assert cli.main(["sweep", "--sizes", "16,8"]) == 2
+    assert cli.main(["sweep", "--sizes", "0,5"]) == 2
+    assert capsys.readouterr().err.splitlines()[-1].startswith("error:")
     assert cli.main(["interval", "--grid", "0,5"]) == 2
     assert cli.main(["bogus"]) == 2
     assert cli.main(["interval", "--grid", "abc"]) == 2
@@ -211,3 +279,22 @@ def test_cli_config_errors():
 def test_cli_threads_flag(capsys):
     assert cli.main(["--threads", "1", "index", "--grid", "1"]) == 0
     assert cli.main(["--threads", "0", "index"]) == 2
+
+
+def _run_python(*args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_threads_flag_precedes_numpy():
+    # --threads sets the BLAS thread variables, which numpy reads only when it
+    # loads, so importing the package must not load it.
+    probe = _run_python("-c", "import sys, noncompact; print('numpy' in sys.modules)")
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "False"
+    run = _run_python("-m", "noncompact.cli", "--threads", "1", "index")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("N,dim_plus,dim_minus,index")

@@ -2,7 +2,7 @@
 compressions, the three-premise witness protocol, and report serialization.
 
 The witness verdict is 'pass' iff on the requested grid the witness vectors
-stay bounded, the certified image-norm lower bounds clear the model's bound,
+stay bounded, the image-norm lower bounds clear the model's bound,
 and (for grids with at least two points) the pairings decrease strictly with
 the final value below the decay threshold.
 """
@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg as _linalg
 
 from . import disc as _disc
 from . import interval as _interval
@@ -40,7 +39,11 @@ class SvdError(RuntimeError):
 
 
 def singular_values(matrix: np.ndarray) -> np.ndarray:
-    """All singular values, descending, via LAPACK."""
+    """All singular values, descending, via LAPACK (the dense oracle for the
+    structured spectra)."""
+    # Imported here: the witness protocol and the sweeps never need it.
+    from scipy import linalg
+
     a = np.asarray(matrix)
     if a.ndim != 2:
         raise ValueError("matrix must be 2-dimensional")
@@ -54,8 +57,8 @@ def singular_values(matrix: np.ndarray) -> np.ndarray:
         elif not np.any(a.real):
             a = a.imag
     try:
-        return _linalg.svdvals(a)
-    except _linalg.LinAlgError as exc:
+        return linalg.svdvals(a)
+    except linalg.LinAlgError as exc:
         raise SvdError(f"SVD did not converge: {exc}") from exc
 
 
@@ -98,6 +101,8 @@ def compression_sweep(
         raise ValueError("sizes must be strictly increasing")
     if sizes and sizes[0] < 1:
         raise ValueError("sizes must be >= 1")
+    if model == "disc" and len(set(map(disc_sweep_dims, sizes))) < len(sizes):
+        raise ValueError("sizes must map to distinct disc dimensions")
     spectra = [SWEEP_SPECTRA[model](size) for size in sizes]
     return SweepProfile(
         model=model,
@@ -172,11 +177,14 @@ def witness_protocol(
             )
         else:
             witness = _disc.disc_witness(point, trunc)
-            zeta = _disc.disc_image_norm_lowerbound(point, trunc, trunc)
-            bounds.append((point - 1) / (4.0 * point * math.pi**2))
-            pairings.append(
-                [_disc.disc_image_coefficient(point, k, trunc) for k in indices]
+            # One coefficient vector gives both the image norm (rows
+            # k <= trunc) and the pairings.
+            coeffs = _disc.disc_image_coefficients(
+                point, max(trunc, *indices), trunc
             )
+            zeta = float(np.linalg.norm(coeffs[:trunc]))
+            bounds.append((point - 1) / (4.0 * point * math.pi**2))
+            pairings.append([float(coeffs[k - 1]) for k in indices])
             upper.append(
                 [
                     _disc.pairing_upper_bound(point, k) if k <= point else math.inf

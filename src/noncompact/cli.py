@@ -110,21 +110,10 @@ def main(argv: list[str] | None = None) -> int:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = str(args.threads)
 
-    from . import analysis, aps
-
-    if args.command in ("interval", "disc"):
-        if any(g < 1 for g in args.grid):
-            return config_error("--grid entries must be >= 1")
-        report = analysis.witness_protocol(
-            args.command, tuple(args.grid), trunc_factor=args.trunc_factor
-        )
-        if args.format == "csv":
-            _emit(_rows_to_csv_text(analysis.witness_report_rows(report)), args.out)
-        else:
-            _emit(json.dumps(analysis.witness_report_dict(report), indent=2), args.out)
-        return 0 if report.verdict == "pass" else 1
-
+    # Each subcommand imports only what it uses: `index` needs no scipy.
     if args.command == "index":
+        from . import aps
+
         rows = []
         ok = True
         for cut in args.grid:
@@ -145,17 +134,32 @@ def main(argv: list[str] | None = None) -> int:
             _emit(json.dumps(rows, indent=2), args.out)
         return 0 if ok else 1
 
+    from . import analysis
+
+    if args.command in ("interval", "disc"):
+        if any(g < 1 for g in args.grid):
+            return config_error("--grid entries must be >= 1")
+        report = analysis.witness_protocol(
+            args.command, tuple(args.grid), trunc_factor=args.trunc_factor
+        )
+        if args.format == "csv":
+            _emit(_rows_to_csv_text(analysis.witness_report_rows(report)), args.out)
+        else:
+            _emit(json.dumps(analysis.witness_report_dict(report), indent=2), args.out)
+        for warning in report.warnings:
+            sys.stderr.write(f"warning: {warning}\n")
+        return 0 if report.verdict == "pass" else 1
+
     # sweep
-    if list(args.sizes) != sorted(set(args.sizes)):
-        return config_error("--sizes must be strictly increasing")
-    if args.sizes[0] < 1:
-        return config_error("--sizes entries must be >= 1")
-    payloads = []
-    ok = True
-    for model in analysis.MODELS:
-        profile = analysis.compression_sweep(model, tuple(args.sizes))
-        ok = ok and analysis.nesting_monotone(profile)
-        payloads.append(analysis.sweep_report_dict(profile))
+    try:
+        profiles = [
+            analysis.compression_sweep(model, tuple(args.sizes))
+            for model in analysis.MODELS
+        ]
+    except ValueError as exc:
+        return config_error(f"--sizes: {exc}")
+    ok = all(analysis.nesting_monotone(profile) for profile in profiles)
+    payloads = [analysis.sweep_report_dict(profile) for profile in profiles]
     if args.format == "csv":
         rows = []
         for payload in payloads:

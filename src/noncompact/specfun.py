@@ -12,11 +12,9 @@ from __future__ import annotations
 
 import csv
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize as _opt
 from scipy import special as _sp
 
 # Module tolerances (absolute unless noted).
@@ -78,15 +76,11 @@ class BesselZeroTable:
     """Cache of positive zeros of J_n keyed by (order n, rank k).
 
     Every entry stores the zero together with a bracket [lo, hi] of width at
-    most ZERO_BRACKET_WIDTH across which J_n changes sign.  Appends are
-    serialized; reads are lock-free.
+    most ZERO_BRACKET_WIDTH across which J_n changes sign.
     """
 
     entries: dict[tuple[int, int], tuple[float, float, float]] = field(
         default_factory=dict
-    )
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
     )
 
     def get(self, n: int, k: int) -> float | None:
@@ -98,8 +92,7 @@ class BesselZeroTable:
         return (entry[1], entry[2]) if entry is not None else None
 
     def add(self, n: int, k: int, zero: float, lo: float, hi: float) -> None:
-        with self._lock:
-            self.entries[(n, k)] = (zero, lo, hi)
+        self.entries[(n, k)] = (zero, lo, hi)
 
     def to_csv(self, path: str) -> None:
         with open(path, "w", newline="") as fh:
@@ -207,11 +200,15 @@ def bessel_zero(n: int, k: int, table: BesselZeroTable | None = None) -> float:
     if n <= 1:
         x = _newton(n, _mcmahon_guess(n, k))
     else:
+        # Imported here so that orders 0 and 1, all the witness sums use,
+        # never load scipy.optimize.
+        from scipy import optimize
+
         # Interlacing: the k-th zero of J_n lies strictly between the k-th
         # and (k+1)-th zeros of J_{n-1}, and J_n changes sign between them.
         lo = bessel_zero(n - 1, k, table)
         hi = bessel_zero(n - 1, k + 1, table)
-        x = float(_opt.brentq(lambda t: _sp.jv(n, t), lo, hi, xtol=1e-13))
+        x = float(optimize.brentq(lambda t: _sp.jv(n, t), lo, hi, xtol=1e-13))
 
     lo, hi = _certify_bracket(n, x)
     zero = x if lo <= x <= hi else 0.5 * (lo + hi)

@@ -66,9 +66,11 @@ def test_disc_sweep_dims():
 
 
 def test_compression_sweep_small():
-    for model in analysis.MODELS:
-        profile = analysis.compression_sweep(model, sizes=(8, 16, 32))
+    # The disc sizes map to dimensions 4, 16 and 36.
+    for model, sizes in (("interval", (8, 16, 32)), ("disc", (8, 32, 72))):
+        profile = analysis.compression_sweep(model, sizes=sizes)
         assert profile.model == model
+        assert profile.sizes == sorted(set(profile.sizes))
         assert len(profile.singular_values) == 3
         assert analysis.nesting_monotone(profile)
         maxima = [sv[0] for sv in profile.singular_values]
@@ -85,6 +87,14 @@ def test_sweep_validation():
         analysis.compression_sweep("interval", sizes=(16, 8))
     with pytest.raises(ValueError):
         analysis.compression_sweep("disc", sizes=(0, 5))
+
+
+def test_disc_sweep_rejects_repeated_dims():
+    # Sizes 8 and 16 both map to (n_max, k_max) = (1, 2).
+    assert analysis.disc_sweep_dims(8) == analysis.disc_sweep_dims(16)
+    with pytest.raises(ValueError, match="distinct disc dimensions"):
+        analysis.compression_sweep("disc", sizes=(8, 16))
+    assert analysis.compression_sweep("interval", sizes=(8, 16)).sizes == [8, 16]
 
 
 def test_interval_sweep_beyond_dense_size():
@@ -262,7 +272,7 @@ def test_cli_interval_csv(capsys):
 
 def test_cli_sweep(tmp_path):
     out = tmp_path / "sweep.json"
-    assert cli.main(["sweep", "--sizes", "8,16", "--out", str(out)]) == 0
+    assert cli.main(["sweep", "--sizes", "8,32", "--out", str(out)]) == 0
     data = json.loads(out.read_text())
     assert [d["model"] for d in data] == ["interval", "disc"]
 
@@ -271,6 +281,10 @@ def test_cli_config_errors(capsys):
     assert cli.main(["sweep", "--sizes", "16,8"]) == 2
     assert cli.main(["sweep", "--sizes", "0,5"]) == 2
     assert capsys.readouterr().err.splitlines()[-1].startswith("error:")
+    assert cli.main(["sweep", "--sizes", "8,16"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
     assert cli.main(["interval", "--grid", "0,5"]) == 2
     assert cli.main(["bogus"]) == 2
     assert cli.main(["interval", "--grid", "abc"]) == 2
@@ -279,6 +293,17 @@ def test_cli_config_errors(capsys):
 def test_cli_threads_flag(capsys):
     assert cli.main(["--threads", "1", "index", "--grid", "1"]) == 0
     assert cli.main(["--threads", "0", "index"]) == 2
+
+
+def test_cli_writes_protocol_warnings(capsys):
+    for model in analysis.MODELS:
+        report = analysis.witness_protocol(model, (100, 200))
+        assert len(report.warnings) == 2
+        code = cli.main([model, "--grid", "100,200"])
+        assert code == (0 if report.verdict == "pass" else 1)
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"warning: {w}" for w in report.warnings]
+        assert json.loads(captured.out) == analysis.witness_report_dict(report)
 
 
 def _run_python(*args: str) -> subprocess.CompletedProcess:
@@ -298,3 +323,17 @@ def test_threads_flag_precedes_numpy():
     run = _run_python("-m", "noncompact.cli", "--threads", "1", "index")
     assert run.returncode == 0, run.stderr
     assert run.stdout.startswith("N,dim_plus,dim_minus,index")
+
+
+def test_subcommands_import_only_what_they_use():
+    probe = (
+        "import os, sys; from noncompact import cli; "
+        "code = cli.main(sys.argv[1:] + ['--out', os.devnull]); "
+        "print(code, 'scipy' in sys.modules, 'scipy.optimize' in sys.modules)"
+    )
+    index = _run_python("-c", probe, "index")
+    assert index.returncode == 0, index.stderr
+    assert index.stdout.split() == ["0", "False", "False"]
+    interval_run = _run_python("-c", probe, "interval", "--grid", "20,60")
+    assert interval_run.returncode == 0, interval_run.stderr
+    assert interval_run.stdout.split()[1:] == ["True", "False"]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from noncompact import disc, quadrature, specfun
 
@@ -130,6 +132,33 @@ def test_image_coefficients_vector_matches_scalar():
     vec = disc.disc_image_coefficients(7, 5, 200)
     scalars = [disc.disc_image_coefficient(7, k, 200) for k in range(1, 6)]
     np.testing.assert_allclose(vec, scalars, atol=1e-13)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 50),
+    k_rows=st.integers(1, 300),
+    truncation=st.integers(1, 300),
+)
+@example(n=1, k_rows=1, truncation=1)
+# 2^17 // 300 = 436 rows per block: blocks of 436, 436 and a partial 128.
+@example(n=50, k_rows=1000, truncation=300)
+def test_image_coefficients_match_fsum(n, k_rows, truncation):
+    # Oracle: each row's terms summed exactly by math.fsum.
+    a = specfun.bessel_zeros(0, max(k_rows, truncation))
+    ell = np.arange(1, truncation + 1, dtype=float)
+    expected = [
+        math.sqrt(n) * math.fsum(1.0 / ((n + ell) * (a[k] + a[:truncation])))
+        for k in range(k_rows)
+    ]
+    np.testing.assert_allclose(
+        disc.disc_image_coefficients(n, k_rows, truncation), expected, rtol=1e-13
+    )
+
+
+def test_image_norm_pinned():
+    value = disc.disc_image_norm_lowerbound(1000, 10_000, 10_000)
+    assert value == pytest.approx(0.6664600508503358, rel=1e-12)
 
 
 def test_pairing_within_digamma_bounds():

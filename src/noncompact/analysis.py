@@ -1,5 +1,6 @@
 """Model-agnostic non-compactness evidence: singular-value sweeps over nested
 compressions, the three-premise witness protocol, and report serialization.
+What each of these takes from a model is one entry of MODELS.
 
 The witness verdict is 'pass' iff on the requested grid the witness vectors
 stay bounded, the image-norm lower bounds clear the model's bound,
@@ -9,25 +10,19 @@ the final value below the decay threshold.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import disc as _disc
 from . import interval as _interval
 
-MODELS = ("interval", "disc")
 DEFAULT_SIZES = (64, 256, 1024, 4096)
 DEFAULT_THRESHOLDS = (0.01, 0.05, 0.1, 0.25)
 DEFAULT_TRUNC_FACTOR = 10
 DEFAULT_MIN_TRUNCATION = 1000
-# Pairing labels per model: Fourier indices p for the interval, radial
-# indices k for the disc.
-PAIRING_INDICES = {"interval": (0, 1, 5), "disc": (1, 2, 3)}
-PAIRING_DECAY_THRESHOLD = {"interval": 0.05, "disc": 0.1}
 NESTING_TOL = 1e-10
 TAIL_WARNING_FRACTION = 0.1
 INTERVAL_BOUND = 1.0 / (4.0 * math.pi**2)
@@ -80,14 +75,101 @@ def disc_sweep_dims(size: int) -> tuple[int, int]:
     return n_max, 2 * n_max
 
 
-# All singular values, descending, of each model's compression at a
-# requested size, computed from its structure without assembling it.
-SWEEP_SPECTRA = {
-    "interval": lambda size: _interval.interval_singular_values(size),
-    "disc": lambda size: _disc.disc_singular_values(
-        *disc_sweep_dims(size), remove_correction=True
+@dataclass(frozen=True)
+class Model:
+    """What the witness protocol, its report rows and the sweep take from one
+    model.  The functions look the model modules up at call time, so wrappers
+    rebound onto those modules see the calls."""
+
+    witness: Callable[[int, int], _interval.WitnessVector]
+    # (grid point, truncation, pairing indices) -> (image-norm lower bound,
+    # pairing moduli).
+    image: Callable[[int, int, tuple[int, ...]], tuple[float, list[float]]]
+    bound: Callable[[int], float]
+    pairing_indices: tuple[int, ...]
+    decay_threshold: float
+    # (grid point, pairing index) -> upper bound of the pairing, if any.
+    pairing_upper_bound: Callable[[int, int], float] | None
+    # CSV column -> key of the per-point values in witness_report_rows.
+    row_columns: dict[str, str]
+    # Size -> all singular values, descending, of the compression, computed
+    # from its structure without assembling it.
+    sweep_spectrum: Callable[[int], np.ndarray]
+    # Size -> the dimensions the compression is built from.
+    sweep_dims: Callable[[int], object]
+
+
+def _interval_image(m: int, trunc: int, indices: tuple[int, ...]):
+    zeta = _interval.interval_image_norm_lowerbound(m, trunc, trunc)
+    return zeta, [abs(_interval.interval_image_pairing(m, p)) for p in indices]
+
+
+def _disc_image(n: int, trunc: int, indices: tuple[int, ...]):
+    # One coefficient vector gives both the image norm (rows k <= trunc) and
+    # the pairings.
+    coeffs = _disc.disc_image_coefficients(n, max(trunc, *indices), trunc)
+    zeta = float(np.linalg.norm(coeffs[:trunc]))
+    return zeta, [float(coeffs[k - 1]) for k in indices]
+
+
+MODELS = {
+    "interval": Model(
+        witness=lambda m, trunc: _interval.interval_witness(m, trunc),
+        image=_interval_image,
+        bound=lambda m: INTERVAL_BOUND,
+        # Fourier indices p.
+        pairing_indices=(0, 1, 5),
+        decay_threshold=0.05,
+        pairing_upper_bound=None,
+        row_columns={
+            "m": "point",
+            "L": "truncation",
+            "K": "truncation",
+            "xi_norm_sq": "xi_norm_sq",
+            "xi_norm_sq_closed": "xi_norm_sq_closed",
+            "zeta_norm_lower_sq": "zeta_lower_sq",
+            "bound_1_over_4pi2": "bound",
+            "pairing_p0": "pairing_0",
+            "pairing_p1": "pairing_1",
+            "verdict": "verdict",
+        },
+        sweep_spectrum=lambda size: _interval.interval_singular_values(size),
+        sweep_dims=lambda size: size,
+    ),
+    "disc": Model(
+        witness=lambda n, trunc: _disc.disc_witness(n, trunc),
+        image=_disc_image,
+        bound=lambda n: (n - 1) / (4.0 * n * math.pi**2),
+        # Radial indices k.
+        pairing_indices=(1, 2, 3),
+        decay_threshold=0.1,
+        pairing_upper_bound=lambda n, k: (
+            _disc.pairing_upper_bound(n, k) if k <= n else math.inf
+        ),
+        row_columns={
+            "n": "point",
+            "L": "truncation",
+            "K_rows": "truncation",
+            "xi_norm_sq": "xi_norm_sq",
+            "zeta_norm_lower_sq": "zeta_lower_sq",
+            "bound_paper": "bound",
+            "pairing_k1": "pairing_0",
+            "pairing_k2": "pairing_1",
+            "pairing_k3": "pairing_2",
+            "verdict": "verdict",
+        },
+        sweep_spectrum=lambda size: _disc.disc_singular_values(
+            *disc_sweep_dims(size), remove_correction=True
+        ),
+        sweep_dims=disc_sweep_dims,
     ),
 }
+
+
+def _model(name: str) -> Model:
+    if name not in MODELS:
+        raise ValueError(f"model must be one of {tuple(MODELS)}, got {name!r}")
+    return MODELS[name]
 
 
 def compression_sweep(
@@ -95,15 +177,14 @@ def compression_sweep(
     sizes: tuple[int, ...] = DEFAULT_SIZES,
     thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS,
 ) -> SweepProfile:
-    if model not in MODELS:
-        raise ValueError(f"model must be one of {MODELS}, got {model!r}")
+    spec = _model(model)
     if list(sizes) != sorted(set(sizes)):
         raise ValueError("sizes must be strictly increasing")
     if sizes and sizes[0] < 1:
         raise ValueError("sizes must be >= 1")
-    if model == "disc" and len(set(map(disc_sweep_dims, sizes))) < len(sizes):
-        raise ValueError("sizes must map to distinct disc dimensions")
-    spectra = [SWEEP_SPECTRA[model](size) for size in sizes]
+    if len(set(map(spec.sweep_dims, sizes))) < len(sizes):
+        raise ValueError(f"sizes must map to distinct {model} dimensions")
+    spectra = [spec.sweep_spectrum(size) for size in sizes]
     return SweepProfile(
         model=model,
         sizes=[len(sv) for sv in spectra],
@@ -147,13 +228,13 @@ def witness_protocol(
     pairing_threshold: float | None = None,
 ) -> WitnessReport:
     """Run the three-premise non-compactness test on the given grid."""
-    if model not in MODELS:
-        raise ValueError(f"model must be one of {MODELS}, got {model!r}")
+    spec = _model(model)
     if not grid:
         raise ValueError("grid must be nonempty")
     if pairing_threshold is None:
-        pairing_threshold = PAIRING_DECAY_THRESHOLD[model]
-    indices = PAIRING_INDICES[model]
+        pairing_threshold = spec.decay_threshold
+    indices = spec.pairing_indices
+    upper_bound = spec.pairing_upper_bound
 
     truncs: list[int] = []
     xi_norm_sq: list[float] = []
@@ -162,35 +243,18 @@ def witness_protocol(
     zeta_sq: list[float] = []
     bounds: list[float] = []
     pairings: list[list[float]] = []
-    upper: list[list[float]] = []
+    upper: list[list[float]] | None = None if upper_bound is None else []
     warnings: list[str] = []
 
     for point in grid:
         trunc = max(trunc_factor * point, min_truncation)
         truncs.append(trunc)
-        if model == "interval":
-            witness = _interval.interval_witness(point, trunc)
-            zeta = _interval.interval_image_norm_lowerbound(point, trunc, trunc)
-            bounds.append(INTERVAL_BOUND)
-            pairings.append(
-                [abs(_interval.interval_image_pairing(point, p)) for p in indices]
-            )
-        else:
-            witness = _disc.disc_witness(point, trunc)
-            # One coefficient vector gives both the image norm (rows
-            # k <= trunc) and the pairings.
-            coeffs = _disc.disc_image_coefficients(
-                point, max(trunc, *indices), trunc
-            )
-            zeta = float(np.linalg.norm(coeffs[:trunc]))
-            bounds.append((point - 1) / (4.0 * point * math.pi**2))
-            pairings.append([float(coeffs[k - 1]) for k in indices])
-            upper.append(
-                [
-                    _disc.pairing_upper_bound(point, k) if k <= point else math.inf
-                    for k in indices
-                ]
-            )
+        witness = spec.witness(point, trunc)
+        zeta, pairing = spec.image(point, trunc, indices)
+        bounds.append(spec.bound(point))
+        pairings.append(pairing)
+        if upper is not None:
+            upper.append([upper_bound(point, k) for k in indices])
         xi_norm_sq.append(witness.norm_sq)
         xi_tail_sq.append(witness.tail_bound**2)
         xi_closed.append(witness.closed_form_norm_sq)
@@ -207,6 +271,11 @@ def witness_protocol(
     )
     above_bound = all(z >= b for z, b in zip(zeta_sq, bounds))
     non_informative = len(grid) < 2 or any(b == 0.0 for b in bounds)
+    if non_informative:
+        warnings.append(
+            "verdict is non-informative: the grid has fewer than two points "
+            "or a model bound is 0"
+        )
     decay_ok = True
     if len(grid) >= 2:
         for j in range(len(indices)):
@@ -215,11 +284,9 @@ def witness_protocol(
                 decay_ok = False
             if col[-1] >= pairing_threshold:
                 decay_ok = False
-    upper_ok = True
-    if model == "disc":
-        upper_ok = all(
-            p <= u for row, urow in zip(pairings, upper) for p, u in zip(row, urow)
-        )
+    upper_ok = all(
+        p <= u for row, urow in zip(pairings, upper or []) for p, u in zip(row, urow)
+    )
 
     verdict = "pass" if (bounded and above_bound and decay_ok and upper_ok) else "fail"
     return WitnessReport(
@@ -232,7 +299,7 @@ def witness_protocol(
         model_bound=bounds,
         pairing_indices=list(indices),
         pairings=pairings,
-        pairing_upper_bounds=upper if model == "disc" else None,
+        pairing_upper_bounds=upper,
         verdict=verdict,
         non_informative=non_informative,
         warnings=warnings,
@@ -244,38 +311,21 @@ def witness_protocol(
 
 
 def witness_report_rows(report: WitnessReport) -> list[dict]:
+    columns = MODELS[report.model].row_columns
     rows = []
     for i, point in enumerate(report.grid):
-        if report.model == "interval":
-            rows.append(
-                {
-                    "m": point,
-                    "L": report.truncations[i],
-                    "K": report.truncations[i],
-                    "xi_norm_sq": report.xi_norm_sq[i],
-                    "xi_norm_sq_closed": report.xi_norm_sq_closed[i],
-                    "zeta_norm_lower_sq": report.zeta_lower_sq[i],
-                    "bound_1_over_4pi2": report.model_bound[i],
-                    "pairing_p0": report.pairings[i][0],
-                    "pairing_p1": report.pairings[i][1],
-                    "verdict": report.verdict,
-                }
-            )
-        else:
-            rows.append(
-                {
-                    "n": point,
-                    "L": report.truncations[i],
-                    "K_rows": report.truncations[i],
-                    "xi_norm_sq": report.xi_norm_sq[i],
-                    "zeta_norm_lower_sq": report.zeta_lower_sq[i],
-                    "bound_paper": report.model_bound[i],
-                    "pairing_k1": report.pairings[i][0],
-                    "pairing_k2": report.pairings[i][1],
-                    "pairing_k3": report.pairings[i][2],
-                    "verdict": report.verdict,
-                }
-            )
+        values = {
+            "point": point,
+            "truncation": report.truncations[i],
+            "xi_norm_sq": report.xi_norm_sq[i],
+            "xi_norm_sq_closed": report.xi_norm_sq_closed[i],
+            "zeta_lower_sq": report.zeta_lower_sq[i],
+            "bound": report.model_bound[i],
+            "verdict": report.verdict,
+        }
+        # pairing_j: the pairing at the j-th pairing index.
+        values.update((f"pairing_{j}", p) for j, p in enumerate(report.pairings[i]))
+        rows.append({column: values[key] for column, key in columns.items()})
     return rows
 
 
@@ -301,18 +351,3 @@ def sweep_report_dict(
         "counts": profile.counts_above,
         "witness": witness_report_dict(witness) if witness is not None else None,
     }
-
-
-def write_rows_csv(rows: list[dict], path: str) -> None:
-    if not rows:
-        raise ValueError("no rows to write")
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
-
-
-def write_json(payload: dict, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")

@@ -22,13 +22,6 @@ class KernelRangeError(ValueError):
 
 
 @dataclass(frozen=True)
-class ApsExtension:
-    """Self-adjoint extension labeled by the boundary spectral cut N."""
-
-    cut: int
-
-
-@dataclass(frozen=True)
 class KernelCheck:
     residual: float
     boundary_ok: bool
@@ -46,19 +39,19 @@ def aps_index(cut: int) -> int:
     return dim_plus - dim_minus
 
 
-def _positive_chirality_residual(n: int, r: np.ndarray) -> float:
-    # e^{i t}(d_r + i r^{-1} d_t) applied to r^n e^{in t}.
+def kernel_mode_residual(n: int, radii: Sequence[float]) -> float:
+    """Max pointwise Dirac residual of the kernel mode r^n e^{+in t} (chirality
+    "+", operator e^{i t}(d_r + i r^{-1} d_t)) or r^n e^{-in t} ("-", operator
+    e^{-i t}(-d_r + i r^{-1} d_t)).  Both equal |n r^{n-1} - (n/r) r^n|, which
+    is analytically zero for every n >= 0."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    r = np.asarray(radii, dtype=float)
+    if np.any(r <= 0) or np.any(r >= 1):
+        raise ValueError("radii must lie in (0,1)")
     if n == 0:
         return 0.0
     val = n * r ** (n - 1) - (n / r) * r**n
-    return float(np.max(np.abs(val)))
-
-
-def _negative_chirality_residual(n: int, r: np.ndarray) -> float:
-    # e^{-i t}(-d_r + i r^{-1} d_t) applied to r^n e^{-in t}.
-    if n == 0:
-        return 0.0
-    val = -n * r ** (n - 1) + (n / r) * r**n
     return float(np.max(np.abs(val)))
 
 
@@ -69,18 +62,12 @@ def kernel_function_residual(
     kernel function r^n e^{+in t} (chirality "+") or r^n e^{-in t} ("-")."""
     if chirality not in CHIRALITIES:
         raise ValueError(f"chirality must be '+' or '-', got {chirality!r}")
-    if n < 0:
-        raise ValueError("n must be >= 0")
     dim_plus, dim_minus = aps_kernel_dims(cut)
-    r = np.asarray(samples, dtype=float)
-    if np.any(r <= 0) or np.any(r >= 1):
-        raise ValueError("samples must lie in (0,1)")
     if chirality == "+":
         if not n < dim_plus:
             raise KernelRangeError(
                 f"(N={cut}, n={n}, +) is not a kernel element"
             )
-        residual = _positive_chirality_residual(n, r)
         # Trace of r^n e^{in t} is the single boundary mode n; the domain
         # condition kills boundary modes k >= N on this component.
         boundary_ok = n < cut
@@ -89,19 +76,15 @@ def kernel_function_residual(
             raise KernelRangeError(
                 f"(N={cut}, n={n}, -) is not a kernel element"
             )
-        residual = _negative_chirality_residual(n, r)
         # Trace mode is -n; the domain condition kills boundary modes k <= N.
         boundary_ok = -n >= cut + 1
-    return KernelCheck(residual=residual, boundary_ok=boundary_ok)
+    return KernelCheck(kernel_mode_residual(n, samples), boundary_ok)
 
 
 def noncompact_extension_kernel_report(
     n_max: int, samples: Sequence[float]
-) -> tuple[list[float], bool]:
+) -> list[float]:
     """Residuals of the kernel family r^n e^{-in t}, n = 0..n_max, of the
-    maximal negative-chirality extension, plus a flag recording that the
-    family continues indefinitely (the kernel is infinite dimensional)."""
-    from . import disc
-
-    residuals = [disc.maximal_kernel_residual(n, samples) for n in range(n_max + 1)]
-    return residuals, True
+    maximal negative-chirality extension; the family continues for every n,
+    so that kernel is infinite dimensional."""
+    return [kernel_mode_residual(n, samples) for n in range(n_max + 1)]

@@ -12,6 +12,9 @@ import json
 import os
 import sys
 
+# Default witness grid per model.
+WITNESS_GRIDS = {"interval": [100, 1000, 10000], "disc": [100, 1000]}
+
 
 def _int_list(text: str) -> list[int]:
     try:
@@ -39,13 +42,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for model in ("interval", "disc"):
+    for model, grid in WITNESS_GRIDS.items():
         p = sub.add_parser(model, help=f"run the {model} witness protocol")
         p.add_argument(
-            "--grid",
-            type=_int_list,
-            default=[100, 1000] if model == "disc" else [100, 1000, 10000],
-            help="comma-separated witness grid",
+            "--grid", type=_int_list, default=grid, help="comma-separated witness grid"
         )
         p.add_argument("--trunc-factor", type=int, default=10)
         p.add_argument("--out", default=None, help="output path (default stdout)")
@@ -74,11 +74,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, out: str | None) -> None:
+    text = text if text.endswith("\n") else text + "\n"
     if out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
     else:
         with open(out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
 
 
 def _rows_to_csv_text(rows: list[dict]) -> str:
@@ -110,6 +111,7 @@ def main(argv: list[str] | None = None) -> int:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = str(args.threads)
 
+    warnings: list[str] = []
     # Each subcommand imports only what it uses: `index` needs no scipy.
     if args.command == "index":
         from . import aps
@@ -129,50 +131,57 @@ def main(argv: list[str] | None = None) -> int:
                 }
             )
         if args.format == "csv":
-            _emit(_rows_to_csv_text(rows), args.out)
+            text = _rows_to_csv_text(rows)
         else:
-            _emit(json.dumps(rows, indent=2), args.out)
-        return 0 if ok else 1
-
-    from . import analysis
-
-    if args.command in ("interval", "disc"):
+            text = json.dumps(rows, indent=2)
+    elif args.command in ("interval", "disc"):
         if any(g < 1 for g in args.grid):
             return config_error("--grid entries must be >= 1")
+        if args.trunc_factor < 1:
+            return config_error("--trunc-factor must be >= 1")
+        from . import analysis
+
         report = analysis.witness_protocol(
             args.command, tuple(args.grid), trunc_factor=args.trunc_factor
         )
         if args.format == "csv":
-            _emit(_rows_to_csv_text(analysis.witness_report_rows(report)), args.out)
+            text = _rows_to_csv_text(analysis.witness_report_rows(report))
         else:
-            _emit(json.dumps(analysis.witness_report_dict(report), indent=2), args.out)
-        for warning in report.warnings:
-            sys.stderr.write(f"warning: {warning}\n")
-        return 0 if report.verdict == "pass" else 1
+            text = json.dumps(analysis.witness_report_dict(report), indent=2)
+        warnings = report.warnings
+        ok = report.verdict == "pass"
+    else:  # sweep
+        from . import analysis
 
-    # sweep
+        try:
+            profiles = [
+                analysis.compression_sweep(model, tuple(args.sizes))
+                for model in analysis.MODELS
+            ]
+        except ValueError as exc:
+            return config_error(f"--sizes: {exc}")
+        ok = all(analysis.nesting_monotone(profile) for profile in profiles)
+        payloads = [analysis.sweep_report_dict(profile) for profile in profiles]
+        if args.format == "csv":
+            rows = []
+            for payload in payloads:
+                for i, size in enumerate(payload["sizes"]):
+                    row = {"model": payload["model"], "size": size}
+                    for t, c in zip(payload["thresholds"], payload["counts"][i]):
+                        row[f"count_ge_{t}"] = c
+                    for j, sv in enumerate(payload["sv"][i][:8]):
+                        row[f"sv{j + 1}"] = sv
+                    rows.append(row)
+            text = _rows_to_csv_text(rows)
+        else:
+            text = json.dumps(payloads, indent=2)
+
     try:
-        profiles = [
-            analysis.compression_sweep(model, tuple(args.sizes))
-            for model in analysis.MODELS
-        ]
-    except ValueError as exc:
-        return config_error(f"--sizes: {exc}")
-    ok = all(analysis.nesting_monotone(profile) for profile in profiles)
-    payloads = [analysis.sweep_report_dict(profile) for profile in profiles]
-    if args.format == "csv":
-        rows = []
-        for payload in payloads:
-            for i, size in enumerate(payload["sizes"]):
-                row = {"model": payload["model"], "size": size}
-                for t, c in zip(payload["thresholds"], payload["counts"][i]):
-                    row[f"count_ge_{t}"] = c
-                for j, sv in enumerate(payload["sv"][i][:8]):
-                    row[f"sv{j + 1}"] = sv
-                rows.append(row)
-        _emit(_rows_to_csv_text(rows), args.out)
-    else:
-        _emit(json.dumps(payloads, indent=2), args.out)
+        _emit(text, args.out)
+    except OSError as exc:
+        return config_error(f"--out: {exc}")
+    for warning in warnings:
+        sys.stderr.write(f"warning: {warning}\n")
     return 0 if ok else 1
 
 

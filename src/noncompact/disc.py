@@ -1,8 +1,7 @@
 """The unit-disc model: eigenbasis of the spectral-cut self-adjoint extension
 of the Dirac operator, closed-form matrix elements of multiplication by
 r e^{-i theta}, the compact diagonal correction, the witness sequence, and
-pointwise residual checks for eigenvectors, deficiency spinors, and the
-kernel family of the maximal extension.
+pointwise residual checks for eigenvectors and deficiency spinors.
 
 Modes are labeled (branch, n, k, sign) with eigenvalue sign * alpha_{n-1,k},
 alpha_{n,k} the k-th positive zero of J_n.  Mode enumeration is lexicographic
@@ -19,7 +18,7 @@ import numpy as np
 from scipy import special as _sp
 
 from . import specfun
-from .interval import MAX_MATRIX_ENTRIES, WitnessVector, CompressionSizeError
+from .interval import MAX_MATRIX_ENTRIES, CompressionSizeError, interval_witness
 
 PLUS = +1
 MINUS = -1
@@ -174,20 +173,9 @@ def correction_singular_values(k_max: int) -> np.ndarray:
     return 1.0 / (2.0 * specfun.bessel_zeros(0, k_max))
 
 
-def disc_witness(n: int, truncation: int) -> WitnessVector:
-    """Witness vector with coefficients sqrt(n)/(n+ell) on |2,1,ell,->,
-    ell = 1..truncation; same norm series as the interval witness."""
-    if n < 1 or truncation < 1:
-        raise ValueError("n and truncation must be >= 1")
-    ell = np.arange(1, truncation + 1, dtype=float)
-    coeffs = math.sqrt(n) / (ell + n)
-    tail_sq = n * specfun.trigamma(n + truncation + 1)
-    return WitnessVector(
-        coefficients=coeffs,
-        truncation=truncation,
-        tail_bound=math.sqrt(tail_sq),
-        scale=n,
-    )
+# The witness with coefficients sqrt(n)/(n+ell) on |2,1,ell,->, ell = 1..L,
+# has the interval witness's coefficients, so it is that function.
+disc_witness = interval_witness
 
 
 def disc_image_coefficient(n: int, k: int, truncation: int) -> float:
@@ -261,11 +249,6 @@ def pairing_lower_bound(n: int, k: int) -> float:
     )
 
 
-def _jp(n: int, x: np.ndarray) -> np.ndarray:
-    # J_n' via recurrence; J_{-1} = -J_1.
-    return 0.5 * (_sp.jv(n - 1, x) - _sp.jv(n + 1, x))
-
-
 def _ip(n: int, x: np.ndarray) -> np.ndarray:
     # I_n' via recurrence; I_{-1} = I_1.
     return 0.5 * (_sp.iv(abs(n - 1), x) + _sp.iv(n + 1, x))
@@ -286,8 +269,8 @@ def eigenmode_residual(
     c = scale * mode.normalization
     jn = c * _sp.jv(n, r * alpha)
     jn1 = c * _sp.jv(n - 1, r * alpha)
-    djn = c * alpha * _jp(n, r * alpha)
-    djn1 = c * alpha * _jp(n - 1, r * alpha)
+    djn = c * alpha * specfun.bessel_jprime(n, r * alpha)
+    djn1 = c * alpha * specfun.bessel_jprime(n - 1, r * alpha)
     s = float(mode.sign)
     if mode.branch == 1:
         # psi = (jn e^{-in t}, s jn1 e^{-i(n-1) t})
@@ -338,21 +321,6 @@ def deficiency_residual(
         res1 = np.abs((-di_n + n / r * i_n) + t * s * i_n1)
         res2 = np.abs(1j * s * (di_n1 + (n + 1) / r * i_n1) - 1j * t * i_n)
     return float(np.max(np.sqrt(res1**2 + res2**2)))
-
-
-def maximal_kernel_residual(n: int, radii: Sequence[float]) -> float:
-    """Max pointwise value of |e^{-i t}(-d_r + i r^{-1} d_t) r^n e^{-in t}|;
-    analytically zero for every n >= 0 (the kernel family of the maximal
-    negative-chirality extension)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    r = np.asarray(radii, dtype=float)
-    if np.any(r <= 0) or np.any(r >= 1):
-        raise ValueError("radii must lie in (0,1)")
-    if n == 0:
-        return 0.0
-    val = -n * r ** (n - 1) + (n / r) * r**n
-    return float(np.max(np.abs(val)))
 
 
 def eigenvalue_multiplicities(

@@ -168,9 +168,10 @@ def interval_image_coefficients(m: int, k_rows: int, l_cols: int) -> np.ndarray:
     """Moduli of the truncated-image coefficients on e^{2 pi i l x},
     l = 0..k_rows-1, using l_cols witness terms.
 
-    The inner sums are evaluated exactly (up to rounding) via partial
-    fractions and digamma differences; since every summed term is positive,
-    each value is a certified lower bound for the full coefficient modulus.
+    The inner sums are evaluated via partial fractions and digamma
+    differences; since every summed term is positive, each value is a lower
+    bound for the full coefficient modulus in exact arithmetic (float64
+    rounding is not controlled).
     """
     if m < 1 or k_rows < 1 or l_cols < 1:
         raise ValueError("m, k_rows, l_cols must be >= 1")
@@ -189,7 +190,8 @@ def interval_image_coefficients(m: int, k_rows: int, l_cols: int) -> np.ndarray:
 
 
 def interval_image_norm_lowerbound(m: int, k_rows: int, l_cols: int) -> float:
-    """Norm of the truncated image; a certified lower bound for the full
-    image norm because every omitted contribution is orthogonal."""
+    """Norm of the truncated image; a lower bound for the full image norm in
+    exact arithmetic (float64 rounding is not controlled), because every
+    omitted contribution is orthogonal."""
     coeffs = interval_image_coefficients(m, k_rows, l_cols)
     return float(np.sqrt(np.sum(coeffs**2)))

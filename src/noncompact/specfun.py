@@ -59,6 +59,13 @@ def bessel_j(n: int, x: float) -> float:
     return float(_sp.jv(n, x))
 
 
+def bessel_jprime(n: int, x):
+    """Derivative J_n'(x) = (J_{n-1}(x) - J_{n+1}(x))/2, n >= 0, elementwise
+    over arrays (J_{-1} = -J_1 covers n = 0)."""
+    _check_order(n)
+    return 0.5 * (_sp.jv(n - 1, x) - _sp.jv(n + 1, x))
+
+
 def bessel_i(n: int, x: float) -> float:
     """Modified Bessel function of the first kind I_n(x), n >= 0, x >= 0.
 
@@ -130,16 +137,11 @@ def _mcmahon_guess(n: int, k: int) -> float:
     return beta - (mu - 1.0) / (8.0 * beta)
 
 
-def _jprime(n: int, x: float) -> float:
-    # J_n' = (J_{n-1} - J_{n+1})/2, with J_{-1} = -J_1.
-    return 0.5 * (float(_sp.jv(n - 1, x)) - float(_sp.jv(n + 1, x)))
-
-
 def _newton(n: int, x0: float) -> float:
     x = x0
     for _ in range(100):
         f = float(_sp.jv(n, x))
-        fp = _jprime(n, x)
+        fp = float(bessel_jprime(n, x))
         if fp == 0.0:
             break
         dx = f / fp

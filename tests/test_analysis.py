@@ -171,6 +171,18 @@ def test_witness_protocol_singleton_grid_non_informative():
     assert report.verdict == "pass"
 
 
+def test_cli_reports_non_informative(capsys):
+    # The disc model bound (n-1)/(4 n pi^2) is 0 at n = 1, and one grid point
+    # cannot show decay: the verdict passes but says nothing.
+    report = analysis.witness_protocol("disc", (1,))
+    assert report.non_informative
+    assert cli.main(["disc", "--grid", "1"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["verdict"] == "pass"
+    assert captured.err.splitlines() == [f"warning: {w}" for w in report.warnings]
+    assert "non-informative" in captured.err
+
+
 def test_witness_protocol_truncation_warning():
     report = analysis.witness_protocol(
         "interval", (1000,), trunc_factor=1, min_truncation=1
@@ -188,7 +200,7 @@ def test_witness_protocol_validation():
 # --- serialization -----------------------------------------------------------------
 
 
-def test_witness_report_rows_schema(tmp_path):
+def test_witness_report_rows_schema():
     report = analysis.witness_protocol("interval", (20, 60), trunc_factor=50)
     rows = analysis.witness_report_rows(report)
     assert list(rows[0].keys()) == [
@@ -203,9 +215,7 @@ def test_witness_report_rows_schema(tmp_path):
         "pairing_p1",
         "verdict",
     ]
-    path = tmp_path / "report.csv"
-    analysis.write_rows_csv(rows, str(path))
-    assert path.read_text().startswith("m,L,K,")
+    assert cli._rows_to_csv_text(rows).startswith("m,L,K,")
 
 
 def test_disc_report_rows_schema():
@@ -225,12 +235,9 @@ def test_disc_report_rows_schema():
     ]
 
 
-def test_sweep_report_dict_round_trips(tmp_path):
+def test_sweep_report_dict_round_trips():
     profile = analysis.compression_sweep("interval", sizes=(8, 16))
-    payload = analysis.sweep_report_dict(profile)
-    path = tmp_path / "sweep.json"
-    analysis.write_json(payload, str(path))
-    loaded = json.loads(path.read_text())
+    loaded = json.loads(json.dumps(analysis.sweep_report_dict(profile)))
     assert loaded["model"] == "interval"
     assert loaded["sizes"] == [8, 16]
     assert len(loaded["sv"][0]) == 8
@@ -277,7 +284,8 @@ def test_cli_sweep(tmp_path):
     assert [d["model"] for d in data] == ["interval", "disc"]
 
 
-def test_cli_config_errors(capsys):
+def test_cli_config_errors(capsys, tmp_path):
+    missing = str(tmp_path / "missing")
     assert cli.main(["sweep", "--sizes", "16,8"]) == 2
     assert cli.main(["sweep", "--sizes", "0,5"]) == 2
     assert capsys.readouterr().err.splitlines()[-1].startswith("error:")
@@ -288,6 +296,18 @@ def test_cli_config_errors(capsys):
     assert cli.main(["interval", "--grid", "0,5"]) == 2
     assert cli.main(["bogus"]) == 2
     assert cli.main(["interval", "--grid", "abc"]) == 2
+    capsys.readouterr()
+    bad_inputs = (
+        ["interval", "--grid", "10", "--trunc-factor", "0"],
+        ["interval", "--grid", "10", "--trunc-factor", "-3"],
+        ["disc", "--grid", "10", "--out", os.path.join(missing, "x.json")],
+        ["index", "--out", os.path.join(missing, "x.csv")],
+    )
+    for argv in bad_inputs:
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: "), argv
 
 
 def test_cli_threads_flag(capsys):

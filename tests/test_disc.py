@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from noncompact import disc, quadrature, specfun
+from noncompact import aps, disc, quadrature, specfun
 
 RADII = np.linspace(0.05, 0.95, 37)
 
@@ -221,7 +221,9 @@ def test_deficiency_residual_wrong_sign_is_large():
 
 def test_maximal_kernel_residuals_vanish():
     for n in range(0, 33):
-        assert disc.maximal_kernel_residual(n, RADII) < 1e-10
+        assert aps.kernel_mode_residual(n, RADII) < 1e-10
+    with pytest.raises(ValueError):
+        aps.kernel_mode_residual(-1, RADII)
 
 
 def test_residual_domain_checks():
@@ -230,8 +232,6 @@ def test_residual_domain_checks():
         disc.eigenmode_residual(mode, [0.0, 0.5])
     with pytest.raises(ValueError):
         disc.deficiency_residual(1, 3, +1, RADII)
-    with pytest.raises(ValueError):
-        disc.maximal_kernel_residual(-1, RADII)
 
 
 def test_eigenvalue_multiplicities_are_four():

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special as sp
@@ -135,6 +136,19 @@ def test_bessel_j_recurrence(n, x):
     lhs = specfun.bessel_j(n - 1, x) + specfun.bessel_j(n + 1, x)
     rhs = (2.0 * n / x) * specfun.bessel_j(n, x)
     assert lhs == pytest.approx(rhs, abs=1e-10)
+
+
+def test_bessel_jprime_matches_mpmath():
+    # Oracle: mpmath's arbitrary-precision derivative.  n = 0 takes the
+    # J_{-1} = -J_1 branch; the absolute floor covers the zeros of J_n'.
+    x = np.concatenate([[1e-300, 1e-10, 1e-3], np.linspace(50.0 / 600, 50.0, 600)])
+    for n in range(6):
+        want = [float(mpmath.besselj(n, xi, derivative=1)) for xi in x]
+        got = specfun.bessel_jprime(n, x)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+        assert specfun.bessel_jprime(n, float(x[-1])) == got[-1]
+    with pytest.raises(ValueError):
+        specfun.bessel_jprime(-1, 1.0)
 
 
 @pytest.mark.parametrize("x", [0.1, 0.5, 1.0])

@@ -111,6 +111,12 @@ def main(argv: list[str] | None = None) -> int:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ[var] = str(args.threads)
 
+    if args.out is not None:
+        # Fail before computing; the file is only opened by _emit at the end.
+        directory = os.path.dirname(os.path.abspath(args.out))
+        if os.path.isdir(args.out) or not os.access(directory, os.W_OK):
+            return config_error(f"--out: cannot write {args.out!r}")
+
     warnings: list[str] = []
     # Each subcommand imports only what it uses: `index` needs no scipy.
     if args.command == "index":
@@ -139,11 +145,16 @@ def main(argv: list[str] | None = None) -> int:
             return config_error("--grid entries must be >= 1")
         if args.trunc_factor < 1:
             return config_error("--trunc-factor must be >= 1")
-        from . import analysis
+        from . import analysis, specfun
 
-        report = analysis.witness_protocol(
-            args.command, tuple(args.grid), trunc_factor=args.trunc_factor
-        )
+        try:
+            report = analysis.witness_protocol(
+                args.command, tuple(args.grid), trunc_factor=args.trunc_factor
+            )
+        except specfun.BracketError as exc:
+            # The disc sums need zeros of J_0 beyond 2^18 once a grid point
+            # times --trunc-factor exceeds about 83 000.
+            return config_error(f"--grid: {exc}")
         if args.format == "csv":
             text = _rows_to_csv_text(analysis.witness_report_rows(report))
         else:

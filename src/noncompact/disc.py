@@ -98,6 +98,13 @@ class DiscCompression:
     k_correction_removed: bool
 
 
+def _zeros_by_order(n_max: int, k_max: int) -> list[np.ndarray]:
+    """[alpha_{n,1..k_max} for n < n_max].  The highest order is asked for
+    first, so interlacing fills each lower order in one batch; ascending
+    requests would add one rank to every lower order per request."""
+    return [specfun.bessel_zeros(n, k_max) for n in reversed(range(n_max))][::-1]
+
+
 def _compression_blocks(n_max: int, k_max: int, remove_correction: bool):
     """The 2 n_max - 1 nonzero k_max x k_max blocks of the compression, as
     ((row branch, row n), (column branch, column n), block).  No two blocks
@@ -105,7 +112,7 @@ def _compression_blocks(n_max: int, k_max: int, remove_correction: bool):
     if n_max < 1 or k_max < 1:
         raise ValueError("n_max and k_max must be >= 1")
     # alphas[n][k-1] = alpha_{n,k}
-    alphas = [specfun.bessel_zeros(n, k_max) for n in range(n_max)]
+    alphas = _zeros_by_order(n_max, k_max)
     # Branch (1,1): row n = m+1 couples to column m.
     for m in range(1, n_max):
         a = alphas[m][:, None]  # alpha_{m,k}
@@ -328,9 +335,7 @@ def eigenvalue_multiplicities(
 ) -> list[int]:
     """Group the squared eigenvalues of all modes with n <= n_max, k <= k_max
     (both branches, both signs) and return the group sizes."""
-    alphas = np.concatenate(
-        [specfun.bessel_zeros(n, k_max) for n in range(n_max)]
-    )
+    alphas = np.concatenate(_zeros_by_order(n_max, k_max))
     order = np.argsort(alphas)
     sorted_a = alphas[order]
     counts: list[int] = []

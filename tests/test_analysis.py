@@ -284,7 +284,7 @@ def test_cli_sweep(tmp_path):
     assert [d["model"] for d in data] == ["interval", "disc"]
 
 
-def test_cli_config_errors(capsys, tmp_path):
+def test_cli_config_errors(capsys, tmp_path, monkeypatch):
     missing = str(tmp_path / "missing")
     assert cli.main(["sweep", "--sizes", "16,8"]) == 2
     assert cli.main(["sweep", "--sizes", "0,5"]) == 2
@@ -297,17 +297,42 @@ def test_cli_config_errors(capsys, tmp_path):
     assert cli.main(["bogus"]) == 2
     assert cli.main(["interval", "--grid", "abc"]) == 2
     capsys.readouterr()
+    existing = tmp_path / "existing.json"
+    existing.write_text("kept\n")
     bad_inputs = (
         ["interval", "--grid", "10", "--trunc-factor", "0"],
         ["interval", "--grid", "10", "--trunc-factor", "-3"],
+        ["interval", "--grid", "10", "--trunc-factor", "0", "--out", str(existing)],
+    )
+    unwritable = (
         ["disc", "--grid", "10", "--out", os.path.join(missing, "x.json")],
+        ["disc", "--grid", "100,1000,3000", "--out", os.path.join(missing, "x.json")],
+        ["disc", "--out", str(tmp_path)],
         ["index", "--out", os.path.join(missing, "x.csv")],
     )
-    for argv in bad_inputs:
+
+    def no_protocol(*args, **kwargs):
+        raise AssertionError("witness_protocol ran before a configuration error")
+
+    monkeypatch.setattr(analysis, "witness_protocol", no_protocol)
+    for argv in bad_inputs + unwritable:
         assert cli.main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: "), argv
+        prefix = "error: --out: " if argv in unwritable else "error: "
+        assert captured.err.startswith(prefix), argv
+    assert existing.read_text() == "kept\n"
+    assert not os.path.exists(missing)
+
+
+def test_cli_grid_beyond_certified_zeros(capsys, monkeypatch):
+    # 10 * 8400 ranks of J_0 reach beyond 2^18, where no float bracket of
+    # width ZERO_BRACKET_WIDTH holds the zero strictly inside.
+    monkeypatch.setattr(specfun, "_DEFAULT_TABLE", specfun.BesselZeroTable())
+    assert cli.main(["disc", "--grid", "8400"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --grid: no certified bracket")
 
 
 def test_cli_threads_flag(capsys):

@@ -1,8 +1,11 @@
 import math
+import random
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import special as sp
 
 from noncompact import specfun
@@ -203,8 +206,11 @@ def test_j0_zero_band():
 
 
 def test_zero_brackets_certified():
+    # Ranks of J_0 up to 30000 reach alpha ~ 9.4e4, where the rounding of
+    # the bracket ends is a sizeable part of ZERO_BRACKET_WIDTH.
     table = specfun.BesselZeroTable()
-    for n in range(4):
+    specfun.bessel_zeros(0, 30000, table)
+    for n in range(1, 4):
         for k in range(1, 5):
             specfun.bessel_zero(n, k, table)
     for (n, k), (alpha, lo, hi) in table.entries.items():
@@ -230,12 +236,70 @@ def test_zeros_increasing_in_rank():
     assert np.all(np.diff(zs) > 0)
 
 
-def test_bessel_zeros_vectorized_matches_scalar():
-    table_a = specfun.BesselZeroTable()
-    table_b = specfun.BesselZeroTable()
-    vec = specfun.bessel_zeros(0, 30, table_a)
-    scalars = [specfun.bessel_zero(0, k, table_b) for k in range(1, 31)]
-    np.testing.assert_allclose(vec, scalars, atol=1e-12)
+@pytest.fixture(scope="module")
+def zeros_job_table():
+    """Orders 0..63 to rank 512, requested in shuffled order as the
+    benchmark's zeros job does."""
+    table = specfun.BesselZeroTable()
+    orders = list(range(64))
+    random.Random(0).shuffle(orders)
+    zeros = {n: specfun.bessel_zeros(n, 512, table) for n in orders}
+    return table, zeros
+
+
+def test_bessel_zeros_match_jn_zeros(zeros_job_table):
+    table, zeros = zeros_job_table
+    for n in range(64):
+        np.testing.assert_allclose(zeros[n], sp.jn_zeros(n, 512), rtol=0, atol=1e-9)
+    # Every stored bracket, including the extra ranks interlacing needed.
+    n, k = np.array(list(table.entries)).T
+    alpha, lo, hi = np.array(list(table.entries.values())).T
+    a, b = np.array(
+        [
+            (table.get(m - 1, j), table.get(m - 1, j + 1))
+            if m
+            else (math.pi * (j - 0.25), math.pi * (j - 0.125))
+            for m, j in zip(n, k)
+        ]
+    ).T
+    assert np.all((a < lo) & (lo < alpha) & (alpha < hi) & (hi < b))
+    assert np.all(hi - lo <= specfun.ZERO_BRACKET_WIDTH)
+    assert np.all(sp.jv(n, lo) * sp.jv(n, hi) < 0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(0, 63), k=st.integers(1, 512))
+@example(n=0, k=1)
+@example(n=63, k=512)
+def test_zero_brackets_isolate_the_zero_mpmath(zeros_job_table, n, k):
+    # Oracle: mpmath's J_n, which keeps full relative precision near its
+    # zeros, and its zeros of J_{n-1}.
+    table, _ = zeros_job_table
+    _, lo, hi = table.entries[(n, k)]
+    assert mpmath.besselj(n, lo) * mpmath.besselj(n, hi) < 0
+    if n == 0:
+        a, b = mpmath.pi * (k - 0.25), mpmath.pi * (k - 0.125)
+    else:
+        a, b = mpmath.besseljzero(n - 1, k), mpmath.besseljzero(n - 1, k + 1)
+    assert a < lo < hi < b
+
+
+def test_zeros_independent_of_request_order():
+    orders = list(range(16))
+    ascending = specfun.BesselZeroTable()
+    for n in orders:
+        specfun.bessel_zeros(n, 64, ascending)
+    random.Random(1).shuffle(orders)
+    shuffled = specfun.BesselZeroTable()
+    for n in orders:
+        specfun.bessel_zeros(n, 64, shuffled)
+    assert shuffled.entries == ascending.entries
+
+
+def test_bessel_zero_is_entry_of_bessel_zeros():
+    for n, k in ((0, 1), (0, 37), (1, 5), (7, 20), (40, 3)):
+        scalar = specfun.bessel_zero(n, k, specfun.BesselZeroTable())
+        assert scalar == specfun.bessel_zeros(n, k, specfun.BesselZeroTable())[k - 1]
 
 
 def test_zero_argument_errors():
@@ -243,19 +307,3 @@ def test_zero_argument_errors():
         specfun.bessel_zero(0, 0)
     with pytest.raises(ValueError):
         specfun.bessel_zero(-2, 1)
-
-
-def test_zero_table_csv_round_trip(tmp_path):
-    table = specfun.BesselZeroTable()
-    for k in range(1, 6):
-        specfun.bessel_zero(0, k, table)
-        specfun.bessel_zero(2, k, table)
-    path = tmp_path / "zeros.csv"
-    table.to_csv(str(path))
-    loaded = specfun.BesselZeroTable.from_csv(str(path))
-    assert loaded.entries.keys() == table.entries.keys()
-    for key, (alpha, lo, hi) in table.entries.items():
-        got = loaded.entries[key]
-        assert got[0] == pytest.approx(alpha, abs=1e-15)
-        assert got[1] == pytest.approx(lo, abs=1e-15)
-        assert got[2] == pytest.approx(hi, abs=1e-15)

@@ -88,7 +88,8 @@ class Model:
     bound: Callable[[int], float]
     pairing_indices: tuple[int, ...]
     decay_threshold: float
-    # (grid point, pairing index) -> upper bound of the pairing, if any.
+    # (grid point, pairing index) -> closed-form upper bound of the full
+    # pairing, which each computed pairing must not exceed; None if none.
     pairing_upper_bound: Callable[[int, int], float] | None
     # CSV column -> key of the per-point values in witness_report_rows.
     row_columns: dict[str, str]
@@ -100,8 +101,10 @@ class Model:
 
 
 def _interval_image(m: int, trunc: int, indices: tuple[int, ...]):
-    zeta = _interval.interval_image_norm_lowerbound(m, trunc, trunc)
-    return zeta, [abs(_interval.interval_image_pairing(m, p)) for p in indices]
+    # The norm of the truncated image (rows l < trunc), the full pairings.
+    zeta = float(np.linalg.norm(_interval.interval_image_coefficients(m, trunc, trunc)))
+    pairings = _interval.interval_image_coefficients(m, max(indices) + 1)
+    return zeta, [float(pairings[p]) for p in indices]
 
 
 def _disc_image(n: int, trunc: int, indices: tuple[int, ...]):
@@ -143,9 +146,7 @@ MODELS = {
         # Radial indices k.
         pairing_indices=(1, 2, 3),
         decay_threshold=0.1,
-        pairing_upper_bound=lambda n, k: (
-            _disc.pairing_upper_bound(n, k) if k <= n else math.inf
-        ),
+        pairing_upper_bound=lambda n, k: float(_disc.disc_image_bracket(n, k)[1][-1]),
         row_columns={
             "n": "point",
             "L": "truncation",

@@ -50,6 +50,12 @@ class DiscMode:
         )
 
 
+def _interior(a, b):
+    """Branch (1,1) element 2a/((a-b)(a+b)^2) at a = alpha_{m,k},
+    b = alpha_{m-1,ell}; branch (2,2) is -_interior(alpha_{n,ell}, alpha_{n-1,k})."""
+    return 2.0 * a / ((a - b) * (a + b) ** 2)
+
+
 def disc_matrix_element(i: int, n: int, k: int, j: int, m: int, ell: int) -> complex:
     """Closed form for <i,n,k,+| r e^{-i theta} |j,m,ell,->."""
     for name, v in (("i", i), ("j", j)):
@@ -70,15 +76,13 @@ def disc_matrix_element(i: int, n: int, k: int, j: int, m: int, ell: int) -> com
     if i == 1 and j == 1:
         if n != m + 1:
             return 0.0 + 0.0j
-        a = specfun.bessel_zero(m, k)
-        b = specfun.bessel_zero(m - 1, ell)
-        return complex(2.0 * a / ((a - b) * (a + b) ** 2))
+        a, b = specfun.bessel_zero(m, k), specfun.bessel_zero(m - 1, ell)
+        return complex(_interior(a, b))
     # i == 2 and j == 2
     if m != n + 1:
         return 0.0 + 0.0j
-    a = specfun.bessel_zero(n - 1, k)
-    b = specfun.bessel_zero(n, ell)
-    return complex(2.0 * b / ((a - b) * (b + a) ** 2))
+    a, b = specfun.bessel_zero(n - 1, k), specfun.bessel_zero(n, ell)
+    return complex(-_interior(b, a))
 
 
 def enumerate_modes(n_max: int, k_max: int, sign: int) -> tuple[DiscMode, ...]:
@@ -115,14 +119,10 @@ def _compression_blocks(n_max: int, k_max: int, remove_correction: bool):
     alphas = _zeros_by_order(n_max, k_max)
     # Branch (1,1): row n = m+1 couples to column m.
     for m in range(1, n_max):
-        a = alphas[m][:, None]  # alpha_{m,k}
-        b = alphas[m - 1][None, :]  # alpha_{m-1,ell}
-        yield (1, m + 1), (1, m), 2.0 * a / ((a - b) * (a + b) ** 2)
+        yield (1, m + 1), (1, m), _interior(alphas[m][:, None], alphas[m - 1])
     # Branch (2,2): row n couples to column m = n+1.
     for n in range(1, n_max):
-        a = alphas[n - 1][:, None]  # alpha_{n-1,k}
-        b = alphas[n][None, :]  # alpha_{n,ell}
-        yield (2, n), (2, n + 1), 2.0 * b / ((a - b) * (b + a) ** 2)
+        yield (2, n), (2, n + 1), -_interior(alphas[n], alphas[n - 1][:, None])
     # Branch (1,2): only n = m = 1 survives.
     a0 = alphas[0]
     b12 = 1.0 / (a0[:, None] + a0[None, :])
@@ -190,8 +190,6 @@ def disc_image_coefficient(n: int, k: int, truncation: int) -> float:
     sum_{ell<=L} sqrt(n)/((n+ell)(alpha_{0,k}+alpha_{0,ell})).  All terms are
     positive, so the value is monotone nondecreasing in the truncation and is
     a lower bound in exact arithmetic (float64 rounding is not controlled)."""
-    if n < 1 or k < 1 or truncation < 1:
-        raise ValueError("n, k, truncation must be >= 1")
     return float(disc_image_coefficients(n, k, truncation)[k - 1])
 
 
@@ -222,37 +220,21 @@ def disc_image_coefficients(n: int, k_rows: int, truncation: int) -> np.ndarray:
     return math.sqrt(n) * out
 
 
-def disc_image_norm_lowerbound(n: int, k_rows: int, truncation: int) -> float:
-    """Euclidean norm of the truncated image coefficients; a lower bound for
-    the image norm (correction removed) in exact arithmetic (float64 rounding
-    is not controlled)."""
-    return float(np.linalg.norm(disc_image_coefficients(n, k_rows, truncation)))
-
-
-def pairing_upper_bound(n: int, k: int) -> float:
-    """Digamma upper bound (sqrt(n)/pi)(psi(n+1)-psi(k+1/2))/(n-k+1/2) for
-    the image coefficient on |1,1,k,+>, valid for k <= n."""
-    if not 1 <= k <= n:
-        raise ValueError("requires 1 <= k <= n")
-    return (
-        math.sqrt(n)
-        / math.pi
-        * (specfun.digamma(n + 1) - specfun.digamma(k + 0.5))
-        / (n - k + 0.5)
-    )
-
-
-def pairing_lower_bound(n: int, k: int) -> float:
-    """Digamma lower bound for the full (untruncated) image coefficient,
-    with argument alpha_{0,k}/pi + 7/8, valid for k <= n."""
-    if not 1 <= k <= n:
-        raise ValueError("requires 1 <= k <= n")
-    t = specfun.bessel_zero(0, k) / math.pi
-    return (
-        math.sqrt(n)
-        / math.pi
-        * (specfun.digamma(n + 1) - specfun.digamma(t + 7.0 / 8.0))
-        / (n - t + 1.0 / 8.0)
+def disc_image_bracket(n: int, k_rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) bounds, in closed form and for every k, of the full
+    image coefficients on |1,1,k,+>, k = 1..k_rows; no Bessel zero is used.
+    The J_0 band pi(j - 1/4) < alpha_{0,j} < pi(j - 1/8) (Watson ch. 15; DLMF
+    10.21) bounds 1/(alpha_{0,k}+alpha_{0,ell}) by 1/(pi(ell+c)) at c = k - 1/4
+    (below) and c = k - 1/2 (above); by partial fractions (DLMF 5.7) the sum
+    over ell >= 1 of sqrt(n)/((n+ell) pi (ell+c)) is
+    (sqrt(n)/pi)(psi(n+1) - psi(c+1))/(n - c), c never being the integer n.
+    Float64 rounding of the digamma values is not controlled."""
+    if n < 1 or k_rows < 1:
+        raise ValueError("n and k_rows must be >= 1")
+    k = np.arange(1, k_rows + 1, dtype=float)
+    return tuple(
+        math.sqrt(n) / math.pi * (_sp.digamma(n + 1) - _sp.digamma(c + 1)) / (n - c)
+        for c in (k - 0.25, k - 0.5)
     )
 
 

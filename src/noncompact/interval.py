@@ -152,46 +152,29 @@ def interval_witness(m: int, truncation: int) -> WitnessVector:
     )
 
 
-def interval_image_pairing(m: int, p: int) -> complex:
-    """Closed-form coefficient of the witness image on e^{2 pi i p x}."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if p < 0:
-        return 0.0 + 0.0j
-    phase = 1j * math.sqrt(m) / TWO_PI  # -1/(2 pi i) = i/(2 pi)
-    if p == m:
-        return phase * specfun.trigamma(m + 1)
-    return phase * (specfun.digamma(m + 1) - specfun.digamma(p + 1)) / (m - p)
+def interval_image_coefficients(
+    m: int, k_rows: int, l_cols: int | None = None
+) -> np.ndarray:
+    """Moduli of the image coefficients on e^{2 pi i l x}, l = 0..k_rows-1,
+    of the witness truncated to l_cols terms (the full witness if None).
 
-
-def interval_image_coefficients(m: int, k_rows: int, l_cols: int) -> np.ndarray:
-    """Moduli of the truncated-image coefficients on e^{2 pi i l x},
-    l = 0..k_rows-1, using l_cols witness terms.
-
-    The inner sums are evaluated via partial fractions and digamma
-    differences; since every summed term is positive, each value is a lower
-    bound for the full coefficient modulus in exact arithmetic (float64
-    rounding is not controlled).
-    """
-    if m < 1 or k_rows < 1 or l_cols < 1:
+    Partial fractions give the inner sums as digamma differences, whose
+    psi(. + L + 1) terms vanish at L = infinity.  Every summed term is
+    positive, so a truncated value is a lower bound for the full one in exact
+    arithmetic (float64 rounding is not controlled)."""
+    if m < 1 or k_rows < 1 or (l_cols is not None and l_cols < 1):
         raise ValueError("m, k_rows, l_cols must be >= 1")
+
+    def top(order, x):  # psi^(order)(x + L + 1), 0 at L = infinity
+        return 0.0 if l_cols is None else _sp.polygamma(order, x + l_cols + 1)
+
     ell = np.arange(k_rows, dtype=float)
     s = np.empty(k_rows)
     off = ell != m
     lo = ell[off]
     # sum_{n=1}^{L} 1/((n+m)(n+l)) for l != m.
     s[off] = (
-        (_sp.digamma(lo + l_cols + 1) - _sp.digamma(lo + 1))
-        - (_sp.digamma(m + l_cols + 1) - _sp.digamma(m + 1))
+        (top(0, lo) - _sp.digamma(lo + 1)) - (top(0, m) - _sp.digamma(m + 1))
     ) / (m - lo)
-    if np.any(~off):
-        s[~off] = _sp.polygamma(1, m + 1) - _sp.polygamma(1, m + l_cols + 1)
+    s[~off] = _sp.polygamma(1, m + 1) - top(1, m)
     return math.sqrt(m) / TWO_PI * s
-
-
-def interval_image_norm_lowerbound(m: int, k_rows: int, l_cols: int) -> float:
-    """Norm of the truncated image; a lower bound for the full image norm in
-    exact arithmetic (float64 rounding is not controlled), because every
-    omitted contribution is orthogonal."""
-    coeffs = interval_image_coefficients(m, k_rows, l_cols)
-    return float(np.sqrt(np.sum(coeffs**2)))

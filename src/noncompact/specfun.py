@@ -18,11 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special as _sp
 
-# Module tolerances (absolute unless noted).
-DIGAMMA_ABS_TOL = 1e-12
-BESSEL_ABS_TOL = 1e-12
-RECURRENCE_TOL = 1e-10
-ZERO_ABS_TOL = 1e-10
 ZERO_BRACKET_WIDTH = 1e-10
 
 

@@ -382,3 +382,29 @@ def test_subcommands_import_only_what_they_use():
     interval_run = _run_python("-c", probe, "interval", "--grid", "20,60")
     assert interval_run.returncode == 0, interval_run.stderr
     assert interval_run.stdout.split()[1:] == ["True", "False"]
+
+
+@pytest.mark.parametrize("model", ["disc", "interval"])
+def test_traced_witness_records_image_layers(tmp_path, model):
+    # The benchmark tracer wraps functions by name and reads the arguments
+    # of disc_image_coefficients by parameter name, so deleting or renaming
+    # a traced function or parameter fails here, not only in a traced run.
+    child = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+    record = tmp_path / "record.json"
+    run = _run_python(str(child), str(record), "1", "cli", model, "--grid", "5,10")
+    assert run.returncode in (0, 1), run.stderr
+    verdict = json.loads(run.stdout)["verdict"]
+    assert run.returncode == (0 if verdict == "pass" else 1)
+    traced = json.loads(record.read_text())
+    assert traced["layers"][f"{model}.image_coefficients"]["calls"] >= 2
+    if model == "disc":
+        # Two grid points, each 1000 rows of L = 1000 terms.
+        assert traced["counters"]["disc.image_coefficients.terms"] == 2_000_000
+
+
+def test_disc_pairing_upper_bounds_finite_for_every_k():
+    # At n = 1 and 2 the pairing indices k = 2, 3 exceed n; the bracket's
+    # upper end still bounds them.
+    report = analysis.witness_protocol("disc", (1, 2))
+    for row, urow in zip(report.pairings, report.pairing_upper_bounds):
+        assert all(math.isfinite(u) and p <= u for p, u in zip(row, urow))

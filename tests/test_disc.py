@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -157,33 +158,64 @@ def test_image_coefficients_match_fsum(n, k_rows, truncation):
 
 
 def test_image_norm_pinned():
-    value = disc.disc_image_norm_lowerbound(1000, 10_000, 10_000)
+    value = np.linalg.norm(disc.disc_image_coefficients(1000, 10_000, 10_000))
     assert value == pytest.approx(0.6664600508503358, rel=1e-12)
 
 
-def test_pairing_within_digamma_bounds():
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 300), k_rows=st.integers(1, 50))
+@example(n=1, k_rows=50)
+def test_pairing_within_digamma_bounds(n, k_rows):
     L = 20000
-    for n, k in [(10, 1), (20, 3), (50, 5)]:
-        value = disc.disc_image_coefficient(n, k, L)
-        upper = disc.pairing_upper_bound(n, k)
-        lower = disc.pairing_lower_bound(n, k)
-        # Rigorous tail bound: terms ell > L are below sqrt(n)/(pi ell^2).
-        tail = math.sqrt(n) / (math.pi * L)
-        assert value <= upper
-        assert value + tail >= lower
+    exact = disc.disc_image_coefficients(n, k_rows, L)
+    lower, upper = disc.disc_image_bracket(n, k_rows)
+    # Rigorous tail bound: terms ell > L are below sqrt(n)/(pi ell^2).
+    tail = math.sqrt(n) / (math.pi * L)
+    assert np.all(exact <= upper)
+    assert np.all(exact + tail >= lower)
 
 
 def test_pairing_bound_domain():
     with pytest.raises(ValueError):
-        disc.pairing_upper_bound(3, 4)
+        disc.disc_image_bracket(0, 3)
     with pytest.raises(ValueError):
-        disc.pairing_lower_bound(3, 0)
+        disc.disc_image_bracket(3, 0)
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (1, 3), (2, 2), (5, 9), (20, 4)])
+def test_bracket_matches_mpmath_nsum(n, k):
+    # Oracle: each bracket end is sqrt(n)/pi sum_{ell>=1} 1/((n+ell)(ell+c)),
+    # c = k - 1/4 (lower) and k - 1/2 (upper), summed by mpmath at 30 digits.
+    with mpmath.workdps(30):
+        ends = [
+            mpmath.sqrt(n) / mpmath.pi
+            * mpmath.nsum(lambda ell: 1 / ((n + ell) * (ell + c)), [1, mpmath.inf])
+            for c in (k - mpmath.mpf(1) / 4, k - mpmath.mpf(1) / 2)
+        ]
+    lower, upper = disc.disc_image_bracket(n, k)
+    assert lower[-1] == pytest.approx(float(ends[0]), rel=1e-13)
+    assert upper[-1] == pytest.approx(float(ends[1]), rel=1e-13)
+
+
+def test_bracket_upper_end_pinned_to_digamma_formula():
+    # (sqrt(n)/pi)(psi(n+1) - psi(k+1/2))/(n-k+1/2), the upper bound for
+    # k <= n that the bracket extends to every k.
+    for n, k in [(100, 1), (1000, 3)]:
+        expected = (
+            math.sqrt(n)
+            / math.pi
+            * (specfun.digamma(n + 1) - specfun.digamma(k + 0.5))
+            / (n - k + 0.5)
+        )
+        assert disc.disc_image_bracket(n, k)[1][-1] == pytest.approx(
+            expected, rel=1e-15
+        )
 
 
 def test_image_norm_clears_model_bound():
     n = 100
     bound = (n - 1) / (4.0 * n * math.pi**2)
-    value = disc.disc_image_norm_lowerbound(n, 1000, 1000)
+    value = np.linalg.norm(disc.disc_image_coefficients(n, 1000, 1000))
     assert value**2 >= bound
 
 

@@ -1,9 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from noncompact import interval, specfun
+from noncompact import interval
 
 TWO_PI = 2.0 * math.pi
 
@@ -92,21 +93,35 @@ def test_witness_invalid():
 # --- image pairings ------------------------------------------------------------
 
 
-def test_pairing_negative_mode_vanishes():
-    assert interval.interval_image_pairing(3, -1) == 0
-
-
 def test_pairing_diagonal_value():
     # |<zeta_1, e_1>| = trigamma(2)/(2 pi) = (pi^2/6 - 1)/(2 pi).
-    value = interval.interval_image_pairing(1, 1)
-    assert abs(value) == pytest.approx((math.pi**2 / 6 - 1) / TWO_PI, abs=1e-12)
-    assert abs(value) == pytest.approx(0.102644, abs=1e-6)
-    # The phase is purely imaginary (multiplication by i/(2 pi)).
-    assert value.real == pytest.approx(0.0, abs=1e-15)
+    value = interval.interval_image_coefficients(1, 2, l_cols=None)[1]
+    assert value == pytest.approx((math.pi**2 / 6 - 1) / TWO_PI, abs=1e-12)
+    assert value == pytest.approx(0.102644, abs=1e-6)
 
 
 def test_pairing_vanishing_limit():
-    assert abs(interval.interval_image_pairing(10**6, 0)) < 1e-2
+    assert interval.interval_image_coefficients(10**6, 1, l_cols=None)[0] < 1e-2
+
+
+def test_full_image_coefficients_match_mpmath_nsum():
+    # Oracle: the untruncated sum sqrt(m)/(2 pi) sum_{n>=1} 1/((n+m)(n+l)),
+    # summed by mpmath at 30 digits; l = m is the trigamma branch.
+    with mpmath.workdps(30):
+        for m in (1, 7, 20):
+            rows = max(m, 3) + 1
+            coeffs = interval.interval_image_coefficients(m, rows, l_cols=None)
+            for ell in (0, 3, m):
+                exact = mpmath.sqrt(m) / (2 * mpmath.pi) * mpmath.nsum(
+                    lambda n: 1 / ((n + m) * (n + ell)), [1, mpmath.inf]
+                )
+                assert coeffs[ell] == pytest.approx(float(exact), rel=1e-13)
+
+
+def test_image_coefficients_invalid():
+    for args in [(0, 1, None), (1, 0, None), (1, 1, 0)]:
+        with pytest.raises(ValueError):
+            interval.interval_image_coefficients(*args)
 
 
 def test_image_coefficients_match_direct_sum():
@@ -128,28 +143,32 @@ def test_image_coefficients_approach_closed_form_pairing():
     L = 10**5
     for m, p in [(1, 0), (5, 5), (17, 2), (50, 12)]:
         truncated = interval.interval_image_coefficients(m, p + 1, L)[p]
-        full = abs(interval.interval_image_pairing(m, p))
+        full = interval.interval_image_coefficients(m, p + 1, l_cols=None)[p]
         tail = math.sqrt(m) / TWO_PI * 2.0 / L
         assert truncated <= full + 1e-12
         assert full - truncated <= tail
 
 
+def _image_norm(m, k_rows, l_cols):
+    return np.linalg.norm(interval.interval_image_coefficients(m, k_rows, l_cols))
+
+
 def test_image_norm_lowerbound_single_term():
     # m=1, K=L=1: single coefficient 1/(2 pi (1+1)(1+1))... the (l=0,n=1)
     # term is sqrt(1)/(2 pi (1+1)(1+0)) = 1/(4 pi), squared 1/(16 pi^2).
-    value = interval.interval_image_norm_lowerbound(1, 1, 1)
+    value = _image_norm(1, 1, 1)
     assert value**2 == pytest.approx(1.0 / (16.0 * math.pi**2), abs=1e-12)
 
 
 def test_image_norm_lowerbound_monotone():
-    prev = interval.interval_image_norm_lowerbound(7, 10, 10)
+    prev = _image_norm(7, 10, 10)
     for scale in (2, 4, 8):
-        cur = interval.interval_image_norm_lowerbound(7, 10 * scale, 10 * scale)
+        cur = _image_norm(7, 10 * scale, 10 * scale)
         assert cur >= prev - 1e-15
         prev = cur
 
 
 def test_image_norm_clears_bound():
     bound = 1.0 / (4.0 * math.pi**2)
-    value = interval.interval_image_norm_lowerbound(100, 1000, 1000)
+    value = _image_norm(100, 1000, 1000)
     assert value**2 >= bound

@@ -200,23 +200,30 @@ def disc_image_coefficients(n: int, k_rows: int, truncation: int) -> np.ndarray:
     controlled).
 
     Every term is evaluated; only the summation order is chosen.  C is built
-    one block of rows at a time in a reused buffer of about 2^17 entries
-    (1 MB, so it stays in cache), and each block is reduced by one BLAS
-    matrix-vector product."""
+    one strip of rows s:e at a time in a reused buffer of about 2^17 entries
+    (1 MB, in cache).  C is symmetric, so each reciprocal with k, l <= m =
+    min(k_rows, L) is computed once, for (k, l) and (l, k): a strip takes the
+    columns s:L and adds its columns e:m, transposed, to the rows e:m."""
     if n < 1 or k_rows < 1 or truncation < 1:
         raise ValueError("n, k_rows, truncation must be >= 1")
     a = specfun.bessel_zeros(0, max(k_rows, truncation))
-    cols = a[:truncation]
     terms = 1.0 / (n + np.arange(1, truncation + 1, dtype=float))
-    rows = max(1, min(k_rows, (1 << 17) // truncation))
-    buffer = np.empty((rows, truncation))
-    out = np.empty(k_rows)
-    for start in range(0, k_rows, rows):
-        stop = min(start + rows, k_rows)
-        block = buffer[: stop - start]
-        np.add(a[start:stop, None], cols, out=block)
+    m = min(k_rows, truncation)
+    buffer = np.empty(max(1 << 17, truncation))
+    out = np.zeros(k_rows)
+    start = 0
+    while start < k_rows:
+        # Rows past L take every column.
+        first, end = (start, m) if start < m else (0, k_rows)
+        width = truncation - first
+        stop = min(end, start + max(1, (1 << 17) // width))
+        block = buffer[: (stop - start) * width].reshape(-1, width)
+        np.add(a[start:stop, None], a[first:truncation], out=block)
         np.reciprocal(block, out=block)
-        np.matmul(block, terms, out=out[start:stop])
+        out[start:stop] += block @ terms[first:]
+        if start < m:
+            out[stop:m] += terms[start:stop] @ block[:, stop - start : end - start]
+        start = stop
     return math.sqrt(n) * out
 
 
@@ -317,16 +324,7 @@ def eigenvalue_multiplicities(
 ) -> list[int]:
     """Group the squared eigenvalues of all modes with n <= n_max, k <= k_max
     (both branches, both signs) and return the group sizes."""
-    alphas = np.concatenate(_zeros_by_order(n_max, k_max))
-    order = np.argsort(alphas)
-    sorted_a = alphas[order]
-    counts: list[int] = []
-    run = 1
-    for prev, cur in zip(sorted_a[:-1], sorted_a[1:]):
-        if cur - prev <= atol:
-            run += 1
-        else:
-            counts.append(4 * run)  # 2 branches x 2 signs per (n,k)
-            run = 1
-    counts.append(4 * run)
-    return counts
+    alphas = np.sort(np.concatenate(_zeros_by_order(n_max, k_max)))
+    ends = np.flatnonzero(np.diff(alphas) > atol) + 1
+    runs = np.diff(np.concatenate(([0], ends, [alphas.size])))
+    return (4 * runs).tolist()  # 2 branches x 2 signs per (n,k)

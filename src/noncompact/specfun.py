@@ -6,8 +6,8 @@ inside the accuracy budget everywhere we use them).  Zero finding is done
 here, by one path for every order: the k-th zero of J_n is isolated by the
 band (pi(k - 1/4), pi(k - 1/8)) for n = 0 and by the zeros of J_{n-1}
 (interlacing, DLMF 10.21(i)) for n >= 1; a bracketed Newton iteration,
-vectorized over the ranks, refines it, and it is stored with a bracket across
-which J_n changes sign inside that interval.
+vectorized over the ranks not yet cached, refines it, and it is stored with a
+bracket across which J_n changes sign inside that interval.
 """
 
 from __future__ import annotations
@@ -76,23 +76,23 @@ def bessel_i(n: int, x: float) -> float:
 
 @dataclass
 class BesselZeroTable:
-    """Cache of positive zeros of J_n keyed by (order n, rank k).
-
-    Every entry stores the zero together with a bracket [lo, hi] of width at
-    most ZERO_BRACKET_WIDTH across which J_n changes sign, inside the interval
-    that isolates the k-th zero (see bessel_zeros).
+    """Cache of positive zeros of J_n: per order n, one (3, k) array of rows
+    (zero, lo, hi) over ranks 1..k.  [lo, hi] has width at most
+    ZERO_BRACKET_WIDTH, J_n changes sign across it, and it lies inside the
+    interval that isolates the zero (see bessel_zeros).
     """
 
-    entries: dict[tuple[int, int], tuple[float, float, float]] = field(
-        default_factory=dict
-    )
+    rows: dict[int, np.ndarray] = field(default_factory=dict)
 
     def get(self, n: int, k: int) -> float | None:
-        entry = self.entries.get((n, k))
-        return entry[0] if entry is not None else None
+        rows = self.rows.get(n, np.empty((3, 0)))
+        return float(rows[0, k - 1]) if 0 < k <= rows.shape[1] else None
 
-    def add(self, n: int, k: int, zero: float, lo: float, hi: float) -> None:
-        self.entries[(n, k)] = (zero, lo, hi)
+    @property
+    def entries(self) -> dict[tuple[int, int], tuple[float, float, float]]:
+        """Read-only view {(n, k): (zero, lo, hi)}, built on each access."""
+        items = ((n, zip(*rows.tolist())) for n, rows in self.rows.items())
+        return {(n, k): e for n, col in items for k, e in enumerate(col, start=1)}
 
 
 _DEFAULT_TABLE = BesselZeroTable()
@@ -114,21 +114,23 @@ def bessel_zero(n: int, k: int, table: BesselZeroTable | None = None) -> float:
 
 
 def bessel_zeros(n: int, k_max: int, table: BesselZeroTable | None = None) -> np.ndarray:
-    """First k_max positive zeros of J_n as an array (cached).
+    """First k_max positive zeros of J_n as a new array (cached).
 
     The k-th zero is the only zero of J_n in its isolating interval (a, b):
     the band (pi(k - 1/4), pi(k - 1/8)) for n = 0, and (alpha_{n-1,k},
     alpha_{n-1,k+1}) for n >= 1 by interlacing, so order n first fills order
-    n - 1 up to rank k_max + 1.  All missing ranks are refined together, and
-    each zero is stored only if J_n changes sign across [lo, hi], with
-    hi - lo <= ZERO_BRACKET_WIDTH, inside (a, b); otherwise BracketError.
+    n - 1 up to rank k_max + 1.  The ranks beyond the cached ones are refined
+    together, and each is stored only if J_n changes sign across [lo, hi],
+    with hi - lo <= ZERO_BRACKET_WIDTH, inside (a, b); otherwise BracketError.
     """
     _check_order(n)
+    if not isinstance(k_max, (int, np.integer)) or k_max < 0:
+        raise ValueError(f"k_max must be a nonnegative integer, got {k_max!r}")
     if table is None:
         table = _DEFAULT_TABLE
-    missing = [k for k in range(1, k_max + 1) if table.get(n, k) is None]
-    if missing:
-        ks = np.asarray(missing)
+    rows = table.rows.get(n, np.empty((3, 0)))
+    if rows.shape[1] < k_max:
+        ks = np.arange(rows.shape[1] + 1, k_max + 1)
         if n == 0:
             a, b = math.pi * (ks - 0.25), math.pi * (ks - 0.125)
         else:
@@ -152,9 +154,8 @@ def bessel_zeros(n: int, k_max: int, table: BesselZeroTable | None = None) -> np
         if not ok.all():
             k = int(ks[np.argmin(ok)])
             raise BracketError(f"no certified bracket for zero {k} of J_{n}")
-        for k, zero, low, high in zip(missing, x.tolist(), lo.tolist(), hi.tolist()):
-            table.add(n, k, zero, low, high)
-    return np.array([table.get(n, k) for k in range(1, k_max + 1)])
+        rows = table.rows[n] = np.concatenate((rows, (x, lo, hi)), axis=1)
+    return rows[0, :k_max].copy()
 
 
 def _newton_in_intervals(n: int, ks: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -400,6 +400,8 @@ def test_traced_witness_records_image_layers(tmp_path, model):
     if model == "disc":
         # Two grid points, each 1000 rows of L = 1000 terms.
         assert traced["counters"]["disc.image_coefficients.terms"] == 2_000_000
+        # The tracer counts zeros by len(table.entries): ranks 1..1000 of J_0.
+        assert traced["counters"]["specfun.zeros_computed"] == 1000
 
 
 def test_disc_pairing_upper_bounds_finite_for_every_k():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -142,8 +143,15 @@ def test_image_coefficients_vector_matches_scalar():
     truncation=st.integers(1, 300),
 )
 @example(n=1, k_rows=1, truncation=1)
-# 2^17 // 300 = 436 rows per block: blocks of 436, 436 and a partial 128.
+# Square part m = min(k_rows, L); strips of 2^17 // width rows.  (1000, 1000):
+# many strips, each adding its columns transposed to the rows below it.
+@example(n=50, k_rows=1000, truncation=1000)
+# The 300 x 300 square part is one diagonal tile; the 700 rows past L come in
+# strips of 436 and 264 rows.
 @example(n=50, k_rows=1000, truncation=300)
+# Strips of the square part also take the columns 300..1000.
+@example(n=50, k_rows=300, truncation=1000)
+@example(n=3, k_rows=1, truncation=5000)
 def test_image_coefficients_match_fsum(n, k_rows, truncation):
     # Oracle: each row's terms summed exactly by math.fsum.
     a = specfun.bessel_zeros(0, max(k_rows, truncation))
@@ -155,6 +163,19 @@ def test_image_coefficients_match_fsum(n, k_rows, truncation):
     np.testing.assert_allclose(
         disc.disc_image_coefficients(n, k_rows, truncation), expected, rtol=1e-13
     )
+
+
+def test_image_coefficients_buffer_is_bounded():
+    # 50 000 x 20 terms would be an 8 MB temporary; the strips share one buffer
+    # of 2^17 entries (1 MB).  The zeros are computed before tracing starts.
+    specfun.bessel_zeros(0, 50_000)
+    tracemalloc.start()
+    try:
+        disc.disc_image_coefficients(5, 50_000, 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3_000_000
 
 
 def test_image_norm_pinned():
@@ -270,3 +291,40 @@ def test_eigenvalue_multiplicities_are_four():
     counts = disc.eigenvalue_multiplicities(8, 8)
     assert sum(counts) == 4 * 8 * 8
     assert all(c == 4 for c in counts)
+
+
+def grouped_multiplicities(n_max, k_max, atol):
+    # Reference: one pass over the sorted zeros, a new group at each gap
+    # wider than atol.
+    sorted_a = np.sort(np.concatenate(disc._zeros_by_order(n_max, k_max)))
+    counts, run = [], 1
+    for prev, cur in zip(sorted_a[:-1], sorted_a[1:]):
+        if cur - prev <= atol:
+            run += 1
+        else:
+            counts.append(4 * run)
+            run = 1
+    return counts + [4 * run]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_max=st.integers(1, 20),
+    k_max=st.integers(1, 40),
+    atol=st.sampled_from([1e-8, 0.1, 0.5, 2.0, 100.0]),
+)
+@example(n_max=64, k_max=512, atol=1e-8)
+def test_eigenvalue_multiplicities_match_loop(n_max, k_max, atol):
+    assert disc.eigenvalue_multiplicities(n_max, k_max, atol) == grouped_multiplicities(
+        n_max, k_max, atol
+    )
+
+
+def test_zeros_by_order_returns_copies():
+    first = disc._zeros_by_order(4, 6)
+    expected = [z.copy() for z in first]
+    for z in first:
+        z[:] = -1.0
+    for got, want in zip(disc._zeros_by_order(4, 6), expected):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(specfun.bessel_zeros(0, 6), expected[0])

@@ -275,7 +275,7 @@ def test_zero_brackets_isolate_the_zero_mpmath(zeros_job_table, n, k):
     # Oracle: mpmath's J_n, which keeps full relative precision near its
     # zeros, and its zeros of J_{n-1}.
     table, _ = zeros_job_table
-    _, lo, hi = table.entries[(n, k)]
+    _, lo, hi = table.rows[n][:, k - 1]
     assert mpmath.besselj(n, lo) * mpmath.besselj(n, hi) < 0
     if n == 0:
         a, b = mpmath.pi * (k - 0.25), mpmath.pi * (k - 0.125)
@@ -307,3 +307,25 @@ def test_zero_argument_errors():
         specfun.bessel_zero(0, 0)
     with pytest.raises(ValueError):
         specfun.bessel_zero(-2, 1)
+
+
+def test_bessel_zeros_count_errors():
+    # With ranks stored as an array prefix, a negative count would slice from
+    # the end of the cached zeros instead of failing.
+    table = specfun.BesselZeroTable()
+    specfun.bessel_zeros(0, 5, table)
+    for k_max in (-1, -5, 2.0, 2.5, "3"):
+        with pytest.raises(ValueError):
+            specfun.bessel_zeros(0, k_max, table)
+    assert specfun.bessel_zeros(0, 0, table).shape == (0,)
+    assert specfun.bessel_zeros(0, np.int64(3), table).shape == (3,)
+
+
+def test_bessel_zeros_returns_a_copy():
+    table = specfun.BesselZeroTable()
+    for n in (3, 0):
+        zeros = specfun.bessel_zeros(n, 10, table)
+        expected, entries = zeros.copy(), table.entries
+        zeros[:] = -1.0
+        assert table.entries == entries
+        np.testing.assert_array_equal(specfun.bessel_zeros(n, 10, table), expected)

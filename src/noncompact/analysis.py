@@ -19,18 +19,13 @@ import numpy as np
 from . import disc as _disc
 from . import interval as _interval
 
-DEFAULT_SIZES = (64, 256, 1024, 4096)
-DEFAULT_THRESHOLDS = (0.01, 0.05, 0.1, 0.25)
+SWEEP_THRESHOLDS = (0.01, 0.05, 0.1, 0.25)
 DEFAULT_TRUNC_FACTOR = 10
-DEFAULT_MIN_TRUNCATION = 1000
+MIN_TRUNCATION = 1000
 NESTING_TOL = 1e-10
 TAIL_WARNING_FRACTION = 0.1
 INTERVAL_BOUND = 1.0 / (4.0 * math.pi**2)
 XI_NORM_CAP = 1.01
-
-
-class SvdError(RuntimeError):
-    """The singular value decomposition failed to converge."""
 
 
 def singular_values(matrix: np.ndarray) -> np.ndarray:
@@ -51,10 +46,7 @@ def singular_values(matrix: np.ndarray) -> np.ndarray:
             a = a.real
         elif not np.any(a.real):
             a = a.imag
-    try:
-        return linalg.svdvals(a)
-    except linalg.LinAlgError as exc:
-        raise SvdError(f"SVD did not converge: {exc}") from exc
+    return linalg.svdvals(a)
 
 
 @dataclass
@@ -173,11 +165,7 @@ def _model(name: str) -> Model:
     return MODELS[name]
 
 
-def compression_sweep(
-    model: str,
-    sizes: tuple[int, ...] = DEFAULT_SIZES,
-    thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS,
-) -> SweepProfile:
+def compression_sweep(model: str, sizes: tuple[int, ...]) -> SweepProfile:
     spec = _model(model)
     if list(sizes) != sorted(set(sizes)):
         raise ValueError("sizes must be strictly increasing")
@@ -189,17 +177,20 @@ def compression_sweep(
     return SweepProfile(
         model=model,
         sizes=[len(sv) for sv in spectra],
-        thresholds=list(thresholds),
+        thresholds=list(SWEEP_THRESHOLDS),
         singular_values=spectra,
-        counts_above=[[int(np.sum(sv >= t)) for t in thresholds] for sv in spectra],
+        counts_above=[
+            [int(np.sum(sv >= t)) for t in SWEEP_THRESHOLDS] for sv in spectra
+        ],
     )
 
 
-def nesting_monotone(profile: SweepProfile, tol: float = NESTING_TOL) -> bool:
-    """Check sigma_j(size N) <= sigma_j(size N') + tol for nested N < N'."""
+def nesting_monotone(profile: SweepProfile) -> bool:
+    """Check sigma_j(size N) <= sigma_j(size N') + NESTING_TOL for nested
+    N < N'."""
     for small, large in zip(profile.singular_values, profile.singular_values[1:]):
         j = min(len(small), len(large))
-        if np.any(small[:j] > large[:j] + tol):
+        if np.any(small[:j] > large[:j] + NESTING_TOL):
             return False
     return True
 
@@ -225,15 +216,13 @@ def witness_protocol(
     model: str,
     grid: tuple[int, ...],
     trunc_factor: int = DEFAULT_TRUNC_FACTOR,
-    min_truncation: int = DEFAULT_MIN_TRUNCATION,
-    pairing_threshold: float | None = None,
 ) -> WitnessReport:
     """Run the three-premise non-compactness test on the given grid."""
     spec = _model(model)
     if not grid:
         raise ValueError("grid must be nonempty")
-    if pairing_threshold is None:
-        pairing_threshold = spec.decay_threshold
+    if list(grid) != sorted(set(grid)):
+        raise ValueError("grid must be strictly increasing")
     indices = spec.pairing_indices
     upper_bound = spec.pairing_upper_bound
 
@@ -248,7 +237,7 @@ def witness_protocol(
     warnings: list[str] = []
 
     for point in grid:
-        trunc = max(trunc_factor * point, min_truncation)
+        trunc = max(trunc_factor * point, MIN_TRUNCATION)
         truncs.append(trunc)
         witness = spec.witness(point, trunc)
         zeta, pairing = spec.image(point, trunc, indices)
@@ -283,7 +272,7 @@ def witness_protocol(
             col = [row[j] for row in pairings]
             if any(b >= a for a, b in zip(col, col[1:])):
                 decay_ok = False
-            if col[-1] >= pairing_threshold:
+            if col[-1] >= spec.decay_threshold:
                 decay_ok = False
     upper_ok = all(
         p <= u for row, urow in zip(pairings, upper or []) for p, u in zip(row, urow)

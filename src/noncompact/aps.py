@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 CHIRALITIES = ("+", "-")
 
 
@@ -44,6 +42,9 @@ def kernel_mode_residual(n: int, radii: Sequence[float]) -> float:
     "+", operator e^{i t}(d_r + i r^{-1} d_t)) or r^n e^{-in t} ("-", operator
     e^{-i t}(-d_r + i r^{-1} d_t)).  Both equal |n r^{n-1} - (n/r) r^n|, which
     is analytically zero for every n >= 0."""
+    # Imported here: the index ladder itself is integer logic only.
+    import numpy as np
+
     if n < 0:
         raise ValueError("n must be >= 0")
     r = np.asarray(radii, dtype=float)

@@ -118,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
             return config_error(f"--out: cannot write {args.out!r}")
 
     warnings: list[str] = []
-    # Each subcommand imports only what it uses: `index` needs no scipy.
+    # Each subcommand imports only what it uses: `index` needs no numpy.
     if args.command == "index":
         from . import aps
 
@@ -151,9 +151,10 @@ def main(argv: list[str] | None = None) -> int:
             report = analysis.witness_protocol(
                 args.command, tuple(args.grid), trunc_factor=args.trunc_factor
             )
-        except specfun.BracketError as exc:
-            # The disc sums need zeros of J_0 beyond 2^18 once a grid point
-            # times --trunc-factor exceeds about 83 000.
+        except (ValueError, specfun.BracketError) as exc:
+            # A grid that is not strictly increasing is refused before any
+            # sum runs.  The disc sums need zeros of J_0 beyond 2^18 once a
+            # grid point times --trunc-factor exceeds about 83 000.
             return config_error(f"--grid: {exc}")
         if args.format == "csv":
             text = _rows_to_csv_text(analysis.witness_report_rows(report))

@@ -45,8 +45,8 @@ class DiscMode:
 
     @property
     def normalization(self) -> float:
-        return 1.0 / specfun.bessel_j(
-            self.angular, specfun.bessel_zero(self.angular - 1, self.radial)
+        return 1.0 / float(
+            _sp.jv(self.angular, specfun.bessel_zero(self.angular - 1, self.radial))
         )
 
 
@@ -54,35 +54,6 @@ def _interior(a, b):
     """Branch (1,1) element 2a/((a-b)(a+b)^2) at a = alpha_{m,k},
     b = alpha_{m-1,ell}; branch (2,2) is -_interior(alpha_{n,ell}, alpha_{n-1,k})."""
     return 2.0 * a / ((a - b) * (a + b) ** 2)
-
-
-def disc_matrix_element(i: int, n: int, k: int, j: int, m: int, ell: int) -> complex:
-    """Closed form for <i,n,k,+| r e^{-i theta} |j,m,ell,->."""
-    for name, v in (("i", i), ("j", j)):
-        if v not in (1, 2):
-            raise ValueError(f"branch {name} must be 1 or 2, got {v!r}")
-    if min(n, k, m, ell) < 1:
-        raise ValueError("mode indices must be >= 1")
-    if i == 2 and j == 1:
-        return 0.0 + 0.0j
-    if i == 1 and j == 2:
-        if n != 1 or m != 1:
-            return 0.0 + 0.0j
-        if k == ell:
-            return complex(1.0 / specfun.bessel_zero(0, k))
-        return complex(
-            1.0 / (specfun.bessel_zero(0, k) + specfun.bessel_zero(0, ell))
-        )
-    if i == 1 and j == 1:
-        if n != m + 1:
-            return 0.0 + 0.0j
-        a, b = specfun.bessel_zero(m, k), specfun.bessel_zero(m - 1, ell)
-        return complex(_interior(a, b))
-    # i == 2 and j == 2
-    if m != n + 1:
-        return 0.0 + 0.0j
-    a, b = specfun.bessel_zero(n - 1, k), specfun.bessel_zero(n, ell)
-    return complex(-_interior(b, a))
 
 
 def enumerate_modes(n_max: int, k_max: int, sign: int) -> tuple[DiscMode, ...]:
@@ -99,7 +70,6 @@ class DiscCompression:
     matrix: np.ndarray
     row_modes: tuple[DiscMode, ...]
     col_modes: tuple[DiscMode, ...]
-    k_correction_removed: bool
 
 
 def _zeros_by_order(n_max: int, k_max: int) -> list[np.ndarray]:
@@ -111,8 +81,10 @@ def _zeros_by_order(n_max: int, k_max: int) -> list[np.ndarray]:
 
 def _compression_blocks(n_max: int, k_max: int, remove_correction: bool):
     """The 2 n_max - 1 nonzero k_max x k_max blocks of the compression, as
-    ((row branch, row n), (column branch, column n), block).  No two blocks
-    share a row block or a column block."""
+    ((row branch, row n), (column branch, column n), block); block[k-1, ell-1]
+    is <i,n,k,+| r e^{-i theta} |j,m,ell,->, and every other block (branch
+    (2,1) among them) vanishes.  No two blocks share a row block or a column
+    block."""
     if n_max < 1 or k_max < 1:
         raise ValueError("n_max and k_max must be >= 1")
     # alphas[n][k-1] = alpha_{n,k}
@@ -157,7 +129,6 @@ def assemble_disc_compression(
         matrix=matrix,
         row_modes=enumerate_modes(n_max, k_max, PLUS),
         col_modes=enumerate_modes(n_max, k_max, MINUS),
-        k_correction_removed=remove_correction,
     )
 
 

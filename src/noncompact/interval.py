@@ -15,8 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as _sp
 
-from . import specfun
-
 TWO_PI = 2.0 * math.pi
 
 # Refuse to allocate matrices beyond this many entries (reported, not crashed).
@@ -133,7 +131,7 @@ class WitnessVector:
 
     @property
     def closed_form_norm_sq(self) -> float:
-        return self.scale * specfun.trigamma(self.scale + 1)
+        return self.scale * float(_sp.polygamma(1, self.scale + 1))
 
 
 def interval_witness(m: int, truncation: int) -> WitnessVector:
@@ -143,7 +141,7 @@ def interval_witness(m: int, truncation: int) -> WitnessVector:
         raise ValueError("m and truncation must be >= 1")
     n = np.arange(1, truncation + 1, dtype=float)
     coeffs = math.sqrt(m) / (n + m)
-    tail_sq = m * specfun.trigamma(m + truncation + 1)
+    tail_sq = m * float(_sp.polygamma(1, m + truncation + 1))
     return WitnessVector(
         coefficients=coeffs,
         truncation=truncation,

@@ -78,7 +78,7 @@ def oracle_disc_element(
         def f(r: np.ndarray) -> np.ndarray:
             return r * (jv(1, r * a) * jv(0, r * b) + jv(0, r * a) * jv(1, r * b))
 
-        norm = specfun.bessel_j(1, a) * specfun.bessel_j(1, b)
+        norm = jv(1, a) * jv(1, b)
         return complex(radial_integral(f, rule) / norm)
 
     if i == 1 and j == 1:
@@ -92,7 +92,7 @@ def oracle_disc_element(
                 jv(n, r * a) * jv(m, r * b) - jv(n - 1, r * a) * jv(m - 1, r * b)
             )
 
-        norm = specfun.bessel_j(n, a) * specfun.bessel_j(m, b)
+        norm = jv(n, a) * jv(m, b)
         return complex(radial_integral(f, rule) / norm)
 
     # i == 2 and j == 2
@@ -104,5 +104,5 @@ def oracle_disc_element(
     def f(r: np.ndarray) -> np.ndarray:
         return r * (jv(n - 1, r * a) * jv(m - 1, r * b) - jv(n, r * a) * jv(m, r * b))
 
-    norm = specfun.bessel_j(n, a) * specfun.bessel_j(m, b)
+    norm = jv(n, a) * jv(m, b)
     return complex(radial_integral(f, rule) / norm)

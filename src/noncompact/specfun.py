@@ -1,13 +1,14 @@
-"""Special-function kernels: digamma/trigamma, Bessel J and I, and positive
+"""Special-function kernels: the Bessel derivative J_n' and the positive
 Bessel zeros with certified sign-change brackets.
 
-Evaluation of the classical functions is delegated to scipy.special (well
-inside the accuracy budget everywhere we use them).  Zero finding is done
-here, by one path for every order: the k-th zero of J_n is isolated by the
-band (pi(k - 1/4), pi(k - 1/8)) for n = 0 and by the zeros of J_{n-1}
-(interlacing, DLMF 10.21(i)) for n >= 1; a bracketed Newton iteration,
-vectorized over the ranks not yet cached, refines it, and it is stored with a
-bracket across which J_n changes sign inside that interval.
+The classical functions themselves (digamma, polygamma, J_n, I_n) are called
+from scipy.special directly, well inside the accuracy budget everywhere they
+are used.  Zero finding is done here, by one path for every order: the k-th
+zero of J_n is isolated by the band (pi(k - 1/4), pi(k - 1/8)) for n = 0 and
+by the zeros of J_{n-1} (interlacing, DLMF 10.21(i)) for n >= 1; a bracketed
+Newton iteration, vectorized over the ranks not yet cached, refines it, and
+it is stored with a bracket across which J_n changes sign inside that
+interval.
 """
 
 from __future__ import annotations
@@ -25,34 +26,9 @@ class BracketError(RuntimeError):
     """A sign-change bracket for a Bessel zero could not be certified."""
 
 
-def _check_positive(x: float, name: str) -> None:
-    if not x > 0:
-        raise ValueError(f"{name} must be positive, got {x!r}")
-
-
-def digamma(x: float) -> float:
-    """First logarithmic derivative of the Gamma function, for x > 0."""
-    _check_positive(x, "x")
-    return float(_sp.digamma(x))
-
-
-def trigamma(x: float) -> float:
-    """Second logarithmic derivative of the Gamma function, for x > 0."""
-    _check_positive(x, "x")
-    return float(_sp.polygamma(1, x))
-
-
 def _check_order(n: int) -> None:
     if n < 0 or n != int(n):
         raise ValueError(f"order must be a nonnegative integer, got {n!r}")
-
-
-def bessel_j(n: int, x: float) -> float:
-    """Bessel function of the first kind J_n(x), n >= 0, x >= 0."""
-    _check_order(n)
-    if x < 0:
-        raise ValueError(f"x must be nonnegative, got {x!r}")
-    return float(_sp.jv(n, x))
 
 
 def bessel_jprime(n: int, x):
@@ -60,18 +36,6 @@ def bessel_jprime(n: int, x):
     over arrays (J_{-1} = -J_1 covers n = 0)."""
     _check_order(n)
     return 0.5 * (_sp.jv(n - 1, x) - _sp.jv(n + 1, x))
-
-
-def bessel_i(n: int, x: float) -> float:
-    """Modified Bessel function of the first kind I_n(x), n >= 0, x >= 0.
-
-    Only the unit-disc radius range x <= 1 is exercised by the models, but
-    larger arguments are accepted (used by recurrence checks).
-    """
-    _check_order(n)
-    if x < 0:
-        raise ValueError(f"x must be nonnegative, got {x!r}")
-    return float(_sp.iv(n, x))
 
 
 @dataclass
@@ -105,8 +69,8 @@ def default_zero_table() -> BesselZeroTable:
 def bessel_zero(n: int, k: int, table: BesselZeroTable | None = None) -> float:
     """k-th positive zero of J_n, cached with a certified bracket."""
     _check_order(n)
-    if k < 1:
-        raise ValueError(f"rank k must be >= 1, got {k!r}")
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"rank k must be a positive integer, got {k!r}")
     if table is None:
         table = _DEFAULT_TABLE
     cached = table.get(n, k)

@@ -116,7 +116,7 @@ def _assert_matches_dense(sv: np.ndarray, matrix: np.ndarray) -> None:
     assert sv.shape == dense.shape
     assert np.all(np.diff(sv) <= 0)
     np.testing.assert_allclose(sv, dense, rtol=0, atol=1e-12)
-    for t in analysis.DEFAULT_THRESHOLDS:
+    for t in analysis.SWEEP_THRESHOLDS:
         assert np.sum(sv >= t) == np.sum(dense >= t)
 
 
@@ -184,9 +184,8 @@ def test_cli_reports_non_informative(capsys):
 
 
 def test_witness_protocol_truncation_warning():
-    report = analysis.witness_protocol(
-        "interval", (1000,), trunc_factor=1, min_truncation=1
-    )
+    # L = 1000 terms at m = 1000 leave a tail of norm sqrt(1/2).
+    report = analysis.witness_protocol("interval", (1000,), trunc_factor=1)
     assert report.warnings
 
 
@@ -195,6 +194,9 @@ def test_witness_protocol_validation():
         analysis.witness_protocol("circle", (10,))
     with pytest.raises(ValueError):
         analysis.witness_protocol("interval", ())
+    for grid in ((1000, 100), (100, 100), (5, 10, 10)):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            analysis.witness_protocol("disc", grid)
 
 
 # --- serialization -----------------------------------------------------------------
@@ -297,6 +299,19 @@ def test_cli_config_errors(capsys, tmp_path, monkeypatch):
     assert cli.main(["bogus"]) == 2
     assert cli.main(["interval", "--grid", "abc"]) == 2
     capsys.readouterr()
+
+    def no_sum(*args, **kwargs):
+        raise AssertionError("a witness sum ran before a configuration error")
+
+    # The models look these up on their modules at call time.
+    monkeypatch.setattr(interval, "interval_witness", no_sum)
+    monkeypatch.setattr(interval, "interval_image_coefficients", no_sum)
+    monkeypatch.setattr(disc, "disc_image_coefficients", no_sum)
+    for argv in (["disc", "--grid", "1000,100"], ["interval", "--grid", "100,100"]):
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --grid: grid must be strictly increasing\n"
     existing = tmp_path / "existing.json"
     existing.write_text("kept\n")
     bad_inputs = (
@@ -376,12 +391,39 @@ def test_subcommands_import_only_what_they_use():
         "code = cli.main(sys.argv[1:] + ['--out', os.devnull]); "
         "print(code, 'scipy' in sys.modules, 'scipy.optimize' in sys.modules)"
     )
-    index = _run_python("-c", probe, "index")
+    index = _run_python("-c", probe.replace("'scipy' in", "'numpy' in"), "index")
     assert index.returncode == 0, index.stderr
     assert index.stdout.split() == ["0", "False", "False"]
     interval_run = _run_python("-c", probe, "interval", "--grid", "20,60")
     assert interval_run.returncode == 0, interval_run.stderr
     assert interval_run.stdout.split()[1:] == ["True", "False"]
+
+
+def test_tracer_counts_every_counted_call():
+    # No traced CLI run calls analysis.singular_values or the assemble_*
+    # functions, so their counters, which read the parameter `matrix` and
+    # the result's `.matrix`, are checked here.  install() rebinds module
+    # attributes, hence the subprocess.
+    perfbench = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+    probe = (
+        f"import json, sys; sys.path.insert(0, {str(perfbench)!r}); "
+        "import numpy as np, tracing; "
+        "from noncompact import analysis, disc, interval; "
+        "recorder = tracing.Recorder(); tracing.install(recorder); "
+        "analysis.singular_values(np.eye(3)); "
+        "interval.assemble_interval_compression(2, 3); "
+        "disc.assemble_disc_compression(1, 2); "
+        "disc.disc_image_coefficients(2, 3, 4); "
+        "print(json.dumps(recorder.counters))"
+    )
+    run = _run_python("-c", probe)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == {
+        "analysis.singular_values.entries": 9,
+        "interval.assemble.bytes": 2 * 3 * 16,
+        "disc.assemble.bytes": 4 * 4 * 16,
+        "disc.image_coefficients.terms": 3 * 4,
+    }
 
 
 @pytest.mark.parametrize("model", ["disc", "interval"])

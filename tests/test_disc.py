@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import special as sp
 
 from noncompact import aps, disc, quadrature, specfun
 
@@ -19,7 +20,7 @@ def test_mode_eigenvalue_and_normalization():
     mode = disc.DiscMode(branch=1, angular=1, radial=1, sign=+1)
     alpha = specfun.bessel_zero(0, 1)
     assert mode.eigenvalue == pytest.approx(alpha)
-    assert mode.normalization == pytest.approx(1.0 / specfun.bessel_j(1, alpha))
+    assert mode.normalization == pytest.approx(1.0 / sp.jv(1, alpha))
     neg = disc.DiscMode(branch=2, angular=3, radial=2, sign=-1)
     assert neg.eigenvalue == pytest.approx(-specfun.bessel_zero(2, 2))
 
@@ -33,54 +34,58 @@ def test_mode_validation():
         disc.DiscMode(branch=1, angular=1, radial=1, sign=0)
 
 
+def _entries(n_max: int, k_max: int) -> dict:
+    """Assembled compression entries keyed by (i, n, k, j, m, ell)."""
+    comp = disc.assemble_disc_compression(n_max, k_max)
+    return {
+        (row.branch, row.angular, row.radial, col.branch, col.angular, col.radial): (
+            comp.matrix[a, b]
+        )
+        for a, row in enumerate(comp.row_modes)
+        for b, col in enumerate(comp.col_modes)
+    }
+
+
 def test_element_branch_21_vanishes():
-    assert disc.disc_matrix_element(2, 3, 1, 1, 2, 2) == 0
+    assert _entries(3, 2)[(2, 3, 1, 1, 2, 2)] == 0
 
 
 def test_element_trace_case():
     a1 = specfun.bessel_zero(0, 1)
     a2 = specfun.bessel_zero(0, 2)
-    assert disc.disc_matrix_element(1, 1, 1, 2, 1, 1) == pytest.approx(1.0 / a1)
-    assert disc.disc_matrix_element(1, 1, 1, 2, 1, 2) == pytest.approx(
-        1.0 / (a1 + a2)
-    )
-    assert disc.disc_matrix_element(1, 2, 1, 2, 1, 1) == 0
+    entries = _entries(2, 2)
+    assert entries[(1, 1, 1, 2, 1, 1)] == pytest.approx(1.0 / a1)
+    assert entries[(1, 1, 1, 2, 1, 2)] == pytest.approx(1.0 / (a1 + a2))
+    assert entries[(1, 2, 1, 2, 1, 1)] == 0
 
 
 def test_element_interior_cases_against_quadrature():
     rule = quadrature.gauss_legendre_unit()
+    entries = _entries(3, 3)
     for i, j in [(1, 1), (1, 2), (2, 2)]:
         for n in range(1, 4):
             for m in range(1, 4):
                 for k in range(1, 4):
                     for ell in range(1, 4):
-                        closed = disc.disc_matrix_element(i, n, k, j, m, ell)
+                        closed = entries[(i, n, k, j, m, ell)]
                         oracle = quadrature.oracle_disc_element(
                             i, n, k, j, m, ell, rule
                         )
                         assert closed == pytest.approx(oracle, abs=1e-10)
 
 
-def test_element_validation():
-    with pytest.raises(ValueError):
-        disc.disc_matrix_element(0, 1, 1, 1, 1, 1)
-    with pytest.raises(ValueError):
-        disc.disc_matrix_element(1, 1, 0, 1, 1, 1)
-
-
 # --- assembled compression -----------------------------------------------------
 
 
 def test_assemble_matches_elements():
-    comp = disc.assemble_disc_compression(3, 3)
-    dim = 2 * 3 * 3
-    assert comp.matrix.shape == (dim, dim)
-    for a, row in enumerate(comp.row_modes):
-        for b, col in enumerate(comp.col_modes):
-            expected = disc.disc_matrix_element(
-                row.branch, row.angular, row.radial, col.branch, col.angular, col.radial
-            )
-            assert comp.matrix[a, b] == pytest.approx(expected, abs=1e-14)
+    # An entry depends on its two modes only, not on the truncation that
+    # places it: a non-square truncation puts the same element at each mode
+    # pair it shares with the 3 x 3 one.
+    square, wide = _entries(3, 3), _entries(2, 4)
+    shared = square.keys() & wide.keys()
+    assert len(shared) == (2 * 2 * 3) ** 2
+    for key in shared:
+        assert wide[key] == pytest.approx(square[key], abs=1e-14)
 
 
 def test_assemble_correction_removed_diagonal():
@@ -116,7 +121,7 @@ def test_disc_witness_coefficients():
     np.testing.assert_allclose(
         w.coefficients, [math.sqrt(2) / 3, math.sqrt(2) / 4], atol=1e-15
     )
-    assert w.closed_form_norm_sq == pytest.approx(2 * specfun.trigamma(3), abs=1e-12)
+    assert w.closed_form_norm_sq == pytest.approx(2 * sp.polygamma(1, 3), abs=1e-12)
 
 
 def test_image_coefficient_single_term():
@@ -225,7 +230,7 @@ def test_bracket_upper_end_pinned_to_digamma_formula():
         expected = (
             math.sqrt(n)
             / math.pi
-            * (specfun.digamma(n + 1) - specfun.digamma(k + 0.5))
+            * (sp.digamma(n + 1) - sp.digamma(k + 0.5))
             / (n - k + 0.5)
         )
         assert disc.disc_image_bracket(n, k)[1][-1] == pytest.approx(

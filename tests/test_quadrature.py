@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special as sp
 
 from noncompact import quadrature, specfun
 
@@ -43,16 +44,16 @@ def test_bessel_norm_identity(rule):
     # integral of J_0(alpha_{0,1} r)^2 r dr = J_1(alpha_{0,1})^2 / 2.
     alpha = specfun.bessel_zero(0, 1)
     value = quadrature.radial_integral(
-        lambda r: np.square(np.vectorize(specfun.bessel_j)(0, r * alpha)), rule
+        lambda r: np.square(sp.jv(0, r * alpha)), rule
     )
-    expected = 0.5 * specfun.bessel_j(1, alpha) ** 2
+    expected = 0.5 * sp.jv(1, alpha) ** 2
     assert value == pytest.approx(expected, abs=1e-12)
     assert value == pytest.approx(0.1348, abs=5e-4)
 
 
 def test_spinor_normalization_identity(rule):
     # integral of (J_n^2 + J_{n-1}^2)(alpha_{n-1,k} r) r dr = J_n(alpha_{n-1,k})^2.
-    jv = np.vectorize(specfun.bessel_j)
+    jv = sp.jv
     for n in range(1, 7):
         for k in range(1, 7):
             alpha = specfun.bessel_zero(n - 1, k)
@@ -60,9 +61,7 @@ def test_spinor_normalization_identity(rule):
                 lambda r, n=n, a=alpha: jv(n, r * a) ** 2 + jv(n - 1, r * a) ** 2,
                 rule,
             )
-            assert value == pytest.approx(
-                specfun.bessel_j(n, alpha) ** 2, abs=1e-10
-            )
+            assert value == pytest.approx(jv(n, alpha) ** 2, abs=1e-10)
 
 
 def test_oracle_selection_rules(rule):

@@ -223,10 +223,16 @@ def witness_protocol(
         raise ValueError("grid must be nonempty")
     if list(grid) != sorted(set(grid)):
         raise ValueError("grid must be strictly increasing")
+    truncs = [max(trunc_factor * point, MIN_TRUNCATION) for point in grid]
+    if max(truncs) > _interval.MAX_MATRIX_ENTRIES:
+        # Refused before a witness vector of that length is allocated.
+        raise ValueError(
+            f"truncation {max(truncs)} (trunc_factor x grid point) exceeds "
+            f"{_interval.MAX_MATRIX_ENTRIES} entries"
+        )
     indices = spec.pairing_indices
     upper_bound = spec.pairing_upper_bound
 
-    truncs: list[int] = []
     xi_norm_sq: list[float] = []
     xi_tail_sq: list[float] = []
     xi_closed: list[float] = []
@@ -236,9 +242,7 @@ def witness_protocol(
     upper: list[list[float]] | None = None if upper_bound is None else []
     warnings: list[str] = []
 
-    for point in grid:
-        trunc = max(trunc_factor * point, MIN_TRUNCATION)
-        truncs.append(trunc)
+    for point, trunc in zip(grid, truncs):
         witness = spec.witness(point, trunc)
         zeta, pairing = spec.image(point, trunc, indices)
         bounds.append(spec.bound(point))

@@ -152,9 +152,10 @@ def main(argv: list[str] | None = None) -> int:
                 args.command, tuple(args.grid), trunc_factor=args.trunc_factor
             )
         except (ValueError, specfun.BracketError) as exc:
-            # A grid that is not strictly increasing is refused before any
-            # sum runs.  The disc sums need zeros of J_0 beyond 2^18 once a
-            # grid point times --trunc-factor exceeds about 83 000.
+            # A grid that is not strictly increasing, or a truncation beyond
+            # interval.MAX_MATRIX_ENTRIES, is refused before any sum runs.
+            # The disc sums need zeros of J_0 beyond 2^18 once a grid point
+            # times --trunc-factor exceeds about 83 000.
             return config_error(f"--grid: {exc}")
         if args.format == "csv":
             text = _rows_to_csv_text(analysis.witness_report_rows(report))

@@ -312,6 +312,12 @@ def test_cli_config_errors(capsys, tmp_path, monkeypatch):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --grid: grid must be strictly increasing\n"
+    # A truncation past the allocation guard is refused before numpy is asked
+    # for a witness vector of that length.
+    assert cli.main(["interval", "--grid", "5", "--trunc-factor", "99999999999"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --grid: truncation 499999999995 ")
     existing = tmp_path / "existing.json"
     existing.write_text("kept\n")
     bad_inputs = (
@@ -347,7 +353,7 @@ def test_cli_grid_beyond_certified_zeros(capsys, monkeypatch):
     assert cli.main(["disc", "--grid", "8400"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: --grid: no certified bracket")
+    assert captured.err.startswith("error: --grid: no sign-change bracket")
 
 
 def test_cli_threads_flag(capsys):
@@ -383,6 +389,12 @@ def test_threads_flag_precedes_numpy():
     run = _run_python("-m", "noncompact.cli", "--threads", "1", "index")
     assert run.returncode == 0, run.stderr
     assert run.stdout.startswith("N,dim_plus,dim_minus,index")
+
+
+def test_python_dash_m_runs_the_cli():
+    run = _run_python("-m", "noncompact", "index")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("N,dim_plus,dim_minus,index\n")
 
 
 def test_subcommands_import_only_what_they_use():

@@ -263,6 +263,43 @@ def test_zero_brackets_isolate_the_zero_mpmath(zeros_job_table, n, k):
     assert a < lo < hi < b
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 10, 40, 63, 64])
+def test_jv_pair_matches_mpmath(n):
+    # Oracle: mpmath's J_n.  The points cover (n, 2000] and straddle every
+    # 16th of the first 512 zeros of J_n, where the Newton search evaluates.
+    # The largest error measured was 2.0e-15 (scipy's jv: 3.2e-14 at n = 64).
+    zeros = sp.jn_zeros(n, 512)[::16]
+    x = np.concatenate(
+        [
+            n + np.array([1e-9, 1e-3, 0.1]),
+            np.linspace(n, 2000.0, 80)[1:],
+            zeros - 0.37,
+            zeros + 0.37,
+        ]
+    )
+    below, at = specfun._jv_pair(n, x)
+    want_below = [float(mpmath.besselj(n - 1, xi)) for xi in x]
+    want_at = [float(mpmath.besselj(n, xi)) for xi in x]
+    np.testing.assert_allclose(below, want_below, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(at, want_at, rtol=0, atol=1e-14)
+
+
+def test_zero_search_calls_jv_only_in_the_sign_check(monkeypatch):
+    # On a cold table bessel_zeros(63, 512) refines 512 + 63 - n ranks of
+    # every order n <= 63, 34 784 zeros in all, and checks each with jv at
+    # both bracket ends; the Newton search uses the J_0/J_1 recurrence.
+    points = []
+    jv = specfun._sp.jv
+
+    def counted(n, x):
+        points.append(np.size(x))
+        return jv(n, x)
+
+    monkeypatch.setattr(specfun._sp, "jv", counted)
+    specfun.bessel_zeros(63, 512, specfun.BesselZeroTable())
+    assert sum(points) == 2 * 34784
+
+
 def test_zeros_independent_of_request_order():
     orders = list(range(16))
     ascending = specfun.BesselZeroTable()

@@ -157,44 +157,44 @@ disc_witness = interval_witness
 
 
 def disc_image_coefficient(n: int, k: int, truncation: int) -> float:
-    """Truncated witness-image coefficient on |1,1,k,+> (correction removed):
-    sum_{ell<=L} sqrt(n)/((n+ell)(alpha_{0,k}+alpha_{0,ell})).  All terms are
-    positive, so the value is monotone nondecreasing in the truncation and is
-    a lower bound in exact arithmetic (float64 rounding is not controlled)."""
+    """Truncated witness-image coefficient on |1,1,k,+> (correction removed),
+    a lower bound of sum_{ell<=L} sqrt(n)/((n+ell)(alpha_{0,k}+alpha_{0,ell})).
+    All terms are positive, so the value is monotone nondecreasing in the
+    truncation (float64 rounding is not controlled)."""
     return float(disc_image_coefficients(n, k, truncation)[k - 1])
 
 
 def disc_image_coefficients(n: int, k_rows: int, truncation: int) -> np.ndarray:
-    """disc_image_coefficient for k = 1..k_rows: sqrt(n) C t with the Cauchy
-    matrix C_kl = 1/(alpha_{0,k}+alpha_{0,l}) and t_l = 1/(n+l), l <= L.
-    Each value is a lower bound in exact arithmetic (float64 rounding is not
-    controlled).
-
-    Every term is evaluated; only the summation order is chosen.  C is built
-    one strip of rows s:e at a time in a reused buffer of about 2^17 entries
-    (1 MB, in cache).  C is symmetric, so each reciprocal with k, l <= m =
-    min(k_rows, L) is computed once, for (k, l) and (l, k): a strip takes the
-    columns s:L and adds its columns e:m, transposed, to the rows e:m."""
+    """disc_image_coefficient for k = 1..k_rows: sqrt(n) times a lower bound
+    of sum_{l<=L} 1/((n+l)(alpha_{0,k}+alpha_{0,l})) (float64 rounding is not
+    controlled).  Columns l <= M = min(64, L) are summed exactly in row strips
+    of about 2^17 terms, columns l > M without zeros by McMahon's alpha_{0,l}
+    < beta + 1/(8 beta), beta = pi(l - 1/4) (checked, not proven): with r+-
+    the roots of beta^2 + A beta + 1/8, A = alpha_{0,k}, the term is at least
+    beta/((beta - r+)(beta - r-)), summed in digamma differences (DLMF 5.7)."""
     if n < 1 or k_rows < 1 or truncation < 1:
         raise ValueError("n, k_rows, truncation must be >= 1")
-    a = specfun.bessel_zeros(0, max(k_rows, truncation))
-    terms = 1.0 / (n + np.arange(1, truncation + 1, dtype=float))
-    m = min(k_rows, truncation)
-    buffer = np.empty(max(1 << 17, truncation))
-    out = np.zeros(k_rows)
-    start = 0
-    while start < k_rows:
-        # Rows past L take every column.
-        first, end = (start, m) if start < m else (0, k_rows)
-        width = truncation - first
-        stop = min(end, start + max(1, (1 << 17) // width))
-        block = buffer[: (stop - start) * width].reshape(-1, width)
-        np.add(a[start:stop, None], a[first:truncation], out=block)
-        np.reciprocal(block, out=block)
-        out[start:stop] += block @ terms[first:]
-        if start < m:
-            out[stop:m] += terms[start:stop] @ block[:, stop - start : end - start]
-        start = stop
+    m = min(64, truncation)
+    a = specfun.bessel_zeros(0, max(k_rows, m))
+    terms = 1.0 / (n + np.arange(1, m + 1, dtype=float))
+
+    def far(r):  # sum_{l=M+1}^{L} 1/((n+l)(l+c)) at c = -1/4 - r/pi
+        psi, c = _sp.digamma, -0.25 - r / math.pi
+        head = psi(truncation + 1 + c) - psi(m + 1 + c)
+        return (head - (psi(truncation + 1 + n) - psi(m + 1 + n))) / (n - c)
+
+    out = np.empty(k_rows)
+    step = (1 << 17) // m
+    buffer = np.empty((min(step, k_rows), m))
+    for s in range(0, k_rows, step):
+        rows = a[s : min(s + step, k_rows)]
+        block = np.add.outer(rows, a[:m], out=buffer[: rows.size])
+        out[s : s + step] = np.reciprocal(block, out=block) @ terms
+        if truncation > m:
+            r_minus = -0.5 * (rows + np.sqrt(rows * rows - 0.5))
+            r_plus = 0.125 / r_minus
+            pair = r_plus * far(r_plus) - r_minus * far(r_minus)
+            out[s : s + step] += pair / (math.pi * (r_plus - r_minus))
     return math.sqrt(n) * out
 
 

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -312,12 +313,17 @@ def test_cli_config_errors(capsys, tmp_path, monkeypatch):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --grid: grid must be strictly increasing\n"
-    # A truncation past the allocation guard is refused before numpy is asked
-    # for a witness vector of that length.
+    # A truncation past the term limit is refused before numpy is asked for a
+    # witness vector of that length, also just above the limit.
     assert cli.main(["interval", "--grid", "5", "--trunc-factor", "99999999999"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: --grid: truncation 499999999995 ")
+    above = analysis.MAX_WITNESS_TERMS + 1
+    assert cli.main(["interval", "--grid", "1", "--trunc-factor", str(above)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: --grid: truncation {above} ")
     existing = tmp_path / "existing.json"
     existing.write_text("kept\n")
     bad_inputs = (
@@ -346,7 +352,7 @@ def test_cli_config_errors(capsys, tmp_path, monkeypatch):
     assert not os.path.exists(missing)
 
 
-def test_cli_grid_beyond_certified_zeros(capsys, monkeypatch):
+def test_cli_grid_beyond_sign_change_brackets(capsys, monkeypatch):
     # 10 * 8400 ranks of J_0 reach beyond 2^18, where no float bracket of
     # width ZERO_BRACKET_WIDTH holds the zero strictly inside.
     monkeypatch.setattr(specfun, "_DEFAULT_TABLE", specfun.BesselZeroTable())
@@ -354,6 +360,20 @@ def test_cli_grid_beyond_certified_zeros(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: --grid: no sign-change bracket")
+
+
+def test_cli_witness_reports_pass_the_benchmark_gate(capsys):
+    # The benchmark's witness gate: verdict 'pass' and every value within 1e-8
+    # of perfbench/reference/witness.json.  Only reads perfbench/.
+    root = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+    spec = importlib.util.spec_from_file_location("perfbench_gates", root / "gates.py")
+    gates = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gates)
+    reference = json.loads((root / "reference" / "witness.json").read_text())
+    for argv in (["interval"], ["disc", "--grid", "100,1000,3000"]):
+        code = cli.main([*argv, "--format", "json"])
+        stdout = capsys.readouterr().out
+        assert gates.witness_report(code, stdout, reference[argv[0]]) == [], argv
 
 
 def test_cli_threads_flag(capsys):

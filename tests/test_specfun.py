@@ -184,7 +184,7 @@ def test_j0_zero_band():
         assert math.pi * (k - 0.25) < z < math.pi * (k - 0.125)
 
 
-def test_zero_brackets_certified():
+def test_zero_sign_change_brackets():
     # Ranks of J_0 up to 30000 reach alpha ~ 9.4e4, where the rounding of
     # the bracket ends is a sizeable part of ZERO_BRACKET_WIDTH.
     table = specfun.BesselZeroTable()

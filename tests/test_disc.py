@@ -199,9 +199,9 @@ def test_mcmahon_enclosure_of_j0_zeros(ell):
 
 
 def test_image_coefficients_far_columns_need_no_zeros():
-    # Columns past 64 need no zero of J_0: L = 10^7 runs without zeros up to
-    # 10^7 (about 3e7, beyond any sign-change bracket) and without memory
-    # that grows with L.
+    # Columns past 64 need no zero of J_0: L = 10^7 runs, though the zeros of
+    # rank above 83 443 (past 2^18) have no sign-change bracket, and its
+    # memory does not grow with L.
     n, k_rows = 7, 50
     lower, upper = disc.disc_image_bracket(n, k_rows)
     peaks = []

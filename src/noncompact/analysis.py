@@ -23,7 +23,6 @@ SWEEP_THRESHOLDS = (0.01, 0.05, 0.1, 0.25)
 DEFAULT_TRUNC_FACTOR = 10
 MIN_TRUNCATION = 1000
 NESTING_TOL = 1e-10
-TAIL_WARNING_FRACTION = 0.1
 INTERVAL_BOUND = 1.0 / (4.0 * math.pi**2)
 XI_NORM_CAP = 1.01
 # Peak memory grows by 52-65 bytes per truncation term (peak RSS of `noncompact
@@ -155,9 +154,7 @@ MODELS = {
             "pairing_k3": "pairing_2",
             "verdict": "verdict",
         },
-        sweep_spectrum=lambda size: _disc.disc_singular_values(
-            *disc_sweep_dims(size), remove_correction=True
-        ),
+        sweep_spectrum=lambda size: _disc.disc_singular_values(*disc_sweep_dims(size)),
         sweep_dims=disc_sweep_dims,
     ),
 }
@@ -244,7 +241,6 @@ def witness_protocol(
     bounds: list[float] = []
     pairings: list[list[float]] = []
     upper: list[list[float]] | None = None if upper_bound is None else []
-    warnings: list[str] = []
 
     for point, trunc in zip(grid, truncs):
         witness = spec.witness(point, trunc)
@@ -257,17 +253,18 @@ def witness_protocol(
         xi_tail_sq.append(witness.tail_bound**2)
         xi_closed.append(witness.closed_form_norm_sq)
         zeta_sq.append(zeta**2)
-        if witness.tail_bound > TAIL_WARNING_FRACTION * math.sqrt(witness.norm_sq):
-            warnings.append(
-                f"truncation {trunc} insufficient at grid point {point}: "
-                f"tail bound {witness.tail_bound:.3g} exceeds 10% of the norm"
-            )
 
     bounded = all(
         closed <= XI_NORM_CAP and abs(stored + tail - closed) <= 1e-6
         for stored, tail, closed in zip(xi_norm_sq, xi_tail_sq, xi_closed)
     )
     above_bound = all(z >= b for z, b in zip(zeta_sq, bounds))
+    # Truncation only lowers zeta (positive terms); the xi tail counts exactly.
+    warnings = [
+        f"zeta^2 {z:.3g} is below the model bound {b:.3g} at grid point {point} "
+        f"with truncation {trunc}; a larger --trunc-factor can only raise zeta"
+        for point, trunc, z, b in zip(grid, truncs, zeta_sq, bounds) if z < b
+    ]
     non_informative = len(grid) < 2 or any(b == 0.0 for b in bounds)
     if non_informative:
         warnings.append(

@@ -18,7 +18,8 @@ import numpy as np
 from scipy import special as _sp
 
 from . import specfun
-from .interval import MAX_MATRIX_ENTRIES, CompressionSizeError, interval_witness
+from .interval import MAX_MATRIX_ENTRIES, CompressionSizeError
+from .interval import cauchy_eigenvalues, interval_witness
 
 PLUS = +1
 MINUS = -1
@@ -50,9 +51,10 @@ class DiscMode:
         )
 
 
-def _interior(a, b):
-    """Branch (1,1) element 2a/((a-b)(a+b)^2) at a = alpha_{m,k},
-    b = alpha_{m-1,ell}; branch (2,2) is -_interior(alpha_{n,ell}, alpha_{n-1,k})."""
+def _interior(alphas: list[np.ndarray], m: int) -> np.ndarray:
+    """Branch (1,1) block coupling row n = m+1 to column m: element
+    2a/((a-b)(a+b)^2) at a = alpha_{m,k}, b = alpha_{m-1,ell}."""
+    a, b = alphas[m][:, None], alphas[m - 1]
     return 2.0 * a / ((a - b) * (a + b) ** 2)
 
 
@@ -76,25 +78,22 @@ def _zeros_by_order(n_max: int, k_max: int) -> list[np.ndarray]:
     """[alpha_{n,1..k_max} for n < n_max].  The highest order is asked for
     first, so interlacing fills each lower order in one batch; ascending
     requests would add one rank to every lower order per request."""
+    if n_max < 1 or k_max < 1:
+        raise ValueError("n_max and k_max must be >= 1")
     return [specfun.bessel_zeros(n, k_max) for n in reversed(range(n_max))][::-1]
 
 
 def _compression_blocks(n_max: int, k_max: int, remove_correction: bool):
     """The 2 n_max - 1 nonzero k_max x k_max blocks of the compression, as
     ((row branch, row n), (column branch, column n), block); block[k-1, ell-1]
-    is <i,n,k,+| r e^{-i theta} |j,m,ell,->, and every other block (branch
-    (2,1) among them) vanishes.  No two blocks share a row block or a column
-    block."""
-    if n_max < 1 or k_max < 1:
-        raise ValueError("n_max and k_max must be >= 1")
-    # alphas[n][k-1] = alpha_{n,k}
+    is <i,n,k,+| r e^{-i theta} |j,m,ell,->, every other block (branch (2,1)
+    among them) vanishing.  No two blocks share a row or a column block, and
+    branch (2,2) at (m, m+1) is minus the transpose of (1,1) at (m+1, m)."""
     alphas = _zeros_by_order(n_max, k_max)
-    # Branch (1,1): row n = m+1 couples to column m.
     for m in range(1, n_max):
-        yield (1, m + 1), (1, m), _interior(alphas[m][:, None], alphas[m - 1])
-    # Branch (2,2): row n couples to column m = n+1.
-    for n in range(1, n_max):
-        yield (2, n), (2, n + 1), -_interior(alphas[n], alphas[n - 1][:, None])
+        block = _interior(alphas, m)
+        yield (1, m + 1), (1, m), block
+        yield (2, m), (2, m + 1), -block.T
     # Branch (1,2): only n = m = 1 survives.
     a0 = alphas[0]
     b12 = 1.0 / (a0[:, None] + a0[None, :])
@@ -132,17 +131,19 @@ def assemble_disc_compression(
     )
 
 
-def disc_singular_values(
-    n_max: int, k_max: int, remove_correction: bool = False
-) -> np.ndarray:
-    """All 2 n_max k_max singular values, descending, of the disc compression,
-    without assembling it.  No two nonzero blocks share a row or a column
-    block, so the spectrum is the union of the blocks' spectra, padded with
-    zeros for the k_max rows that meet no block."""
-    blocks = [b for _, _, b in _compression_blocks(n_max, k_max, remove_correction)]
-    sv = np.zeros(2 * n_max * k_max)
-    sv[: len(blocks) * k_max] = np.linalg.svd(np.stack(blocks), compute_uv=False).ravel()
-    return -np.sort(-sv)
+def disc_singular_values(n_max: int, k_max: int) -> np.ndarray:
+    """All 2 n_max k_max singular values, descending, of the disc compression
+    with the correction removed, without assembling it: the union of the
+    blocks' spectra (no two share a row or a column block), padded with zeros
+    for the k_max rows that meet no block.  The (1,2) block is the Cauchy
+    matrix on the nodes alpha_{0,k}; each (2,2) block is -(1,1)^T."""
+    alphas = _zeros_by_order(n_max, k_max)
+    interior = np.empty((n_max - 1, k_max, k_max))
+    for m in range(1, n_max):
+        interior[m - 1] = _interior(alphas, m)
+    spectra = np.linalg.svd(interior, compute_uv=False).ravel()
+    cauchy = cauchy_eigenvalues(alphas[0])
+    return -np.sort(-np.concatenate([cauchy, spectra, spectra, np.zeros(k_max)]))
 
 
 def correction_singular_values(k_max: int) -> np.ndarray:

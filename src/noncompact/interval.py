@@ -19,10 +19,10 @@ TWO_PI = 2.0 * math.pi
 
 # Refuse to allocate matrices beyond this many entries (reported, not crashed).
 MAX_MATRIX_ENTRIES = 200_000_000
-# The pivoted Cholesky factorization of the Hilbert matrix stops once the mean
+# The pivoted Cholesky factorization of a Cauchy matrix stops once the mean
 # of its residual diagonal falls below this.  Rounding leaves about 4e-19 per
-# entry, so a bound on the trace alone would stall as n grows.
-HILBERT_RESIDUAL_TOL = 1e-17
+# entry on the Hilbert nodes, so a bound on the trace alone would stall as n grows.
+CAUCHY_RESIDUAL_TOL = 1e-17
 
 
 class CompressionSizeError(ValueError):
@@ -76,39 +76,41 @@ def assemble_interval_compression(n_pos: int, n_neg: int) -> IntervalCompression
     return IntervalCompression(matrix=matrix, row_modes=rows, col_modes=cols)
 
 
-def interval_singular_values(n: int) -> np.ndarray:
-    """All n singular values, descending, of the n x n interval compression,
-    without assembling it.
-
-    The compression is i/(2 pi) times the Hilbert matrix H_ij = 1/(i+j+1),
-    which is positive definite with numerical rank O(log n log 1/eps).  A
-    diagonally pivoted Cholesky factorization H ~ L L^T, its columns generated
-    on demand, stops once the trace of the residual H - L L^T (positive
-    semidefinite, with the residual diagonal as its diagonal) drops below
-    n * HILBERT_RESIDUAL_TOL.  By Weyl's inequality each eigenvalue of L^T L
-    is then within that trace of the matching one of H, in exact arithmetic;
-    the remaining n - rank values are returned as zeros.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    idx = np.arange(n, dtype=float)
-    residual = 1.0 / (2.0 * idx + 1.0)  # diagonal of H - L L^T
+def cauchy_eigenvalues(x: np.ndarray) -> np.ndarray:
+    """All n eigenvalues, descending, of the Cauchy matrix C_ij = 1/(x_i + x_j)
+    on n positive nodes, without assembling it.  C is positive semidefinite
+    with numerical rank O(log(max x / min x) log 1/eps).  A diagonally pivoted
+    Cholesky factorization C ~ L L^T, its columns generated on demand, stops
+    once the trace of the residual C - L L^T (positive semidefinite, with the
+    residual diagonal as its diagonal) drops below n * CAUCHY_RESIDUAL_TOL.
+    By Weyl's inequality each eigenvalue of L^T L is then within that trace
+    of the matching one of C, in exact arithmetic; the remaining n - rank
+    values are returned as zeros."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    if x.ndim != 1 or n < 1 or not np.all(x > 0):
+        raise ValueError("x must be a nonempty vector of positive nodes")
+    residual = 1.0 / (x + x)  # diagonal of C - L L^T
     factor = np.empty((min(n, 64), n))  # rows are the columns of L
     rank = 0
-    while rank < n and residual.sum() >= n * HILBERT_RESIDUAL_TOL:
+    while rank < n and residual.sum() >= n * CAUCHY_RESIDUAL_TOL:
         if rank == factor.shape[0]:
             factor = np.concatenate([factor, np.empty_like(factor)])[:n]
         p = int(np.argmax(residual))
-        col = 1.0 / (idx + (p + 1)) - factor[:rank, p] @ factor[:rank]
+        col = 1.0 / (x + x[p]) - factor[:rank, p] @ factor[:rank]
         factor[rank] = col / math.sqrt(residual[p])
         # Rounding drives the residual slightly negative once it is resolved.
         np.maximum(residual - factor[rank] ** 2, 0.0, out=residual)
         rank += 1
     low = factor[:rank]
-    eig = np.linalg.eigvalsh(low @ low.T)[::-1]
-    sv = np.zeros(n)
-    sv[:rank] = np.maximum(eig, 0.0) / TWO_PI
-    return sv
+    eig = np.zeros(n)
+    eig[:rank] = np.maximum(np.linalg.eigvalsh(low @ low.T)[::-1], 0.0)
+    return eig
+
+
+def interval_singular_values(n: int) -> np.ndarray:
+    """Singular values, descending, of the n x n compression: i/(2 pi) x Hilbert."""
+    return cauchy_eigenvalues(np.arange(n) + 0.5) / TWO_PI
 
 
 @dataclass(frozen=True)

@@ -290,3 +290,36 @@ def test_criterion_8_log_scale_ladder():
     assert counts_05 == [3, 4, 5]
     assert increasing
     assert predicted
+
+
+def test_criterion_9_disc_log_scale_ladder():
+    # With the correction removed, the disc (1,2) block is the Cauchy matrix
+    # 1/(alpha_{0,k} + alpha_{0,l}); at alpha_{0,k} ~ pi(k - 1/4) it is a
+    # section of 1/(pi(x+y)), in log variables a convolution over an
+    # interval of length ln K with symbol 1/cosh(pi xi), so Szego-type
+    # counting predicts #{sigma >= s} ~ (ln K/pi^2) arccosh(1/s).  The 0.05
+    # counts read 3, 4, 4, 5 on this ladder: they grow, but not at every
+    # step.  Measured minus predicted lies in [-0.03, 1.06].
+    ladder = (2**10, 2**12, 2**14, 2**16)
+    thresholds = (0.05, 0.1, 0.25)
+    counts = {}
+    for k_max in ladder:
+        sv = interval.cauchy_eigenvalues(specfun.bessel_zeros(0, k_max))
+        counts[k_max] = [int(np.sum(sv >= s)) for s in thresholds]
+    ends_05 = [counts[ladder[0]][0], counts[ladder[-1]][0]]
+    excess = [
+        c - math.log(k_max) / math.pi**2 * math.acosh(1.0 / s)
+        for k_max in ladder
+        for c, s in zip(counts[k_max], thresholds)
+    ]
+    predicted = all(-0.5 <= e <= 1.5 for e in excess)
+    _report(
+        9,
+        "disc (1,2) counts >= 0.05 grow from K = 2^10 to 2^16 as (ln K/pi^2) "
+        "arccosh(1/s)",
+        ends_05 == [3, 5] and predicted,
+        f"counts >= 0.05 {[counts[k][0] for k in ladder]}, measured - predicted "
+        f"in [{min(excess):.2f}, {max(excess):.2f}]",
+    )
+    assert ends_05 == [3, 5]
+    assert predicted

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import math
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from noncompact import analysis, cli, disc, interval, specfun
 
 SRC = str(pathlib.Path(interval.__file__).resolve().parents[1])
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
 # --- singular values -----------------------------------------------------------
@@ -140,16 +142,42 @@ def _disc_dims(draw):
 
 
 @settings(max_examples=30, deadline=None)
-@given(dims=_disc_dims(), remove_correction=st.booleans())
-@example(dims=(1, 1), remove_correction=False)
-@example(dims=(11, 22), remove_correction=True)
-@example(dims=(16, 16), remove_correction=False)
-def test_disc_singular_values_match_dense(dims, remove_correction):
+@given(dims=_disc_dims())
+@example(dims=(1, 1))
+@example(dims=(11, 22))
+@example(dims=(16, 16))
+def test_disc_singular_values_match_dense(dims):
     n_max, k_max = dims
     _assert_matches_dense(
-        disc.disc_singular_values(n_max, k_max, remove_correction),
-        disc.assemble_disc_compression(n_max, k_max, remove_correction).matrix,
+        disc.disc_singular_values(n_max, k_max),
+        disc.assemble_disc_compression(n_max, k_max, remove_correction=True).matrix,
     )
+
+
+@settings(max_examples=50, deadline=None)
+@given(x=st.lists(st.floats(0.1, 1e4), min_size=1, max_size=300))
+@example(x=[0.1] * 300)
+@example(x=[0.1, 0.1 + 1e-9, 7.0, 1e4])
+def test_cauchy_eigenvalues_match_dense(x):
+    # Drawn nodes, unlike the interval's i + 1/2, form no arithmetic
+    # progression and may repeat.  Both solvers err by a multiple of
+    # eps * ||C||, and ||C|| reaches 300 / (2 * 0.1) here: nodes clustered
+    # at 0.1 with n near 300 gave Cholesky errors up to 6.7e-11 at
+    # ||C|| = 1363, so the tolerance is 1e-12 relative to max(1, ||C||).
+    x = np.array(x)
+    got = interval.cauchy_eigenvalues(x)
+    dense = np.linalg.eigvalsh(1.0 / (x[:, None] + x))[::-1]
+    assert got.shape == dense.shape
+    assert np.all(np.diff(got) <= 0)
+    np.testing.assert_allclose(got, dense, rtol=0, atol=1e-12 * max(1.0, dense[0]))
+    for t in analysis.SWEEP_THRESHOLDS:
+        assert np.sum(got >= t) == np.sum(dense >= t)
+
+
+def test_cauchy_eigenvalues_validation():
+    for x in ([], [1.0, 0.0], [[1.0]]):
+        with pytest.raises(ValueError, match="positive nodes"):
+            interval.cauchy_eigenvalues(np.array(x))
 
 
 # --- witness protocol -------------------------------------------------------------
@@ -184,10 +212,29 @@ def test_cli_reports_non_informative(capsys):
     assert "non-informative" in captured.err
 
 
-def test_witness_protocol_truncation_warning():
-    # L = 1000 terms at m = 1000 leave a tail of norm sqrt(1/2).
+def _raise_bound(monkeypatch, model: str, bound: float) -> None:
+    # The protocol reads the bound from the MODELS entry at call time.
+    raised = dataclasses.replace(analysis.MODELS[model], bound=lambda point: bound)
+    monkeypatch.setitem(analysis.MODELS, model, raised)
+
+
+def test_witness_protocol_truncation_warning(monkeypatch):
+    # L = 1000 terms at m = 1000 leave a xi tail of norm sqrt(1/2), which the
+    # boundedness premise counts exactly: no warning while zeta clears the
+    # bound.
     report = analysis.witness_protocol("interval", (1000,), trunc_factor=1)
-    assert report.warnings
+    assert report.verdict == "pass"
+    assert not any("zeta" in w for w in report.warnings)
+    # A bound above zeta^2 fails the premise, and the warning names the point
+    # and the truncation.
+    _raise_bound(monkeypatch, "interval", 10.0)
+    report = analysis.witness_protocol("interval", (1000, 2000), trunc_factor=1)
+    assert report.verdict == "fail"
+    assert report.warnings == [
+        f"zeta^2 {z:.3g} is below the model bound 10 at grid point {point} with "
+        f"truncation {point}; a larger --trunc-factor can only raise zeta"
+        for point, z in zip((1000, 2000), report.zeta_lower_sq)
+    ]
 
 
 def test_witness_protocol_validation():
@@ -362,18 +409,36 @@ def test_cli_grid_beyond_sign_change_brackets(capsys, monkeypatch):
     assert captured.err.startswith("error: --grid: no sign-change bracket")
 
 
-def test_cli_witness_reports_pass_the_benchmark_gate(capsys):
-    # The benchmark's witness gate: verdict 'pass' and every value within 1e-8
-    # of perfbench/reference/witness.json.  Only reads perfbench/.
-    root = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
-    spec = importlib.util.spec_from_file_location("perfbench_gates", root / "gates.py")
+def _benchmark_gates():
+    gates_py = PERFBENCH / "gates.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gates", gates_py)
     gates = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gates)
-    reference = json.loads((root / "reference" / "witness.json").read_text())
+    return gates
+
+
+def test_cli_witness_reports_pass_the_benchmark_gate(capsys):
+    # The benchmark's witness gate: verdict 'pass' and every value within 1e-8
+    # of perfbench/reference/witness.json.  Only reads perfbench/.  These
+    # grids clear the bound everywhere, so nothing is warned.
+    gates = _benchmark_gates()
+    reference = json.loads((PERFBENCH / "reference" / "witness.json").read_text())
     for argv in (["interval"], ["disc", "--grid", "100,1000,3000"]):
         code = cli.main([*argv, "--format", "json"])
-        stdout = capsys.readouterr().out
-        assert gates.witness_report(code, stdout, reference[argv[0]]) == [], argv
+        captured = capsys.readouterr()
+        assert gates.witness_report(code, captured.out, reference[argv[0]]) == [], argv
+        assert captured.err == "", argv
+
+
+def test_cli_sweep_passes_the_benchmark_gate(capsys):
+    # The benchmark's sweep gate on the default sizes 64..4096: sizes,
+    # thresholds and counts exact, the top singular values within 1e-8 of
+    # tests/fixtures/sweep_expected.json.  Only reads perfbench/.
+    fixture = pathlib.Path(__file__).parent / "fixtures" / "sweep_expected.json"
+    code = cli.main(["sweep"])
+    stdout = capsys.readouterr().out
+    gates = _benchmark_gates()
+    assert gates.sweep(code, stdout, json.loads(fixture.read_text())) == []
 
 
 def test_cli_threads_flag(capsys):
@@ -381,15 +446,22 @@ def test_cli_threads_flag(capsys):
     assert cli.main(["--threads", "0", "index"]) == 2
 
 
-def test_cli_writes_protocol_warnings(capsys):
-    for model in analysis.MODELS:
-        report = analysis.witness_protocol(model, (100, 200))
-        assert len(report.warnings) == 2
-        code = cli.main([model, "--grid", "100,200"])
-        assert code == (0 if report.verdict == "pass" else 1)
-        captured = capsys.readouterr()
-        assert captured.err.splitlines() == [f"warning: {w}" for w in report.warnings]
-        assert json.loads(captured.out) == analysis.witness_report_dict(report)
+def test_cli_writes_protocol_warnings(capsys, monkeypatch):
+    # Default runs clear the bound and warn about nothing; a raised bound
+    # fails the verdict with one warning per grid point.
+    for model in list(analysis.MODELS):
+        for raised in (False, True):
+            if raised:
+                _raise_bound(monkeypatch, model, 10.0)
+            report = analysis.witness_protocol(model, (100, 200))
+            assert len(report.warnings) == (2 if raised else 0)
+            assert report.verdict == "fail" or not raised
+            code = cli.main([model, "--grid", "100,200"])
+            assert code == (0 if report.verdict == "pass" else 1)
+            captured = capsys.readouterr()
+            warned = [f"warning: {w}" for w in report.warnings]
+            assert captured.err.splitlines() == warned
+            assert json.loads(captured.out) == analysis.witness_report_dict(report)
 
 
 def _run_python(*args: str) -> subprocess.CompletedProcess:
@@ -436,9 +508,8 @@ def test_tracer_counts_every_counted_call():
     # functions, so their counters, which read the parameter `matrix` and
     # the result's `.matrix`, are checked here.  install() rebinds module
     # attributes, hence the subprocess.
-    perfbench = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
     probe = (
-        f"import json, sys; sys.path.insert(0, {str(perfbench)!r}); "
+        f"import json, sys; sys.path.insert(0, {str(PERFBENCH)!r}); "
         "import numpy as np, tracing; "
         "from noncompact import analysis, disc, interval; "
         "recorder = tracing.Recorder(); tracing.install(recorder); "
@@ -463,7 +534,7 @@ def test_traced_witness_records_image_layers(tmp_path, model):
     # The benchmark tracer wraps functions by name and reads the arguments
     # of disc_image_coefficients by parameter name, so deleting or renaming
     # a traced function or parameter fails here, not only in a traced run.
-    child = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+    child = PERFBENCH / "child.py"
     record = tmp_path / "record.json"
     run = _run_python(str(child), str(record), "1", "cli", model, "--grid", "5,10")
     assert run.returncode in (0, 1), run.stderr

@@ -25,10 +25,14 @@ MIN_TRUNCATION = 1000
 NESTING_TOL = 1e-10
 INTERVAL_BOUND = 1.0 / (4.0 * math.pi**2)
 XI_NORM_CAP = 1.01
-# Peak memory grows by 52-65 bytes per truncation term (peak RSS of `noncompact
-# interval --grid 1`: 178 MB at 2e6 terms, 489 MB at 8e6), so this many
-# terms need about 2 GB.
+# Peak memory grows by 46-56 bytes per truncation term (peak RSS of `noncompact
+# interval --grid 1`: 163 MB at 2e6 terms, 428 MB at 8e6), so this many
+# terms need under 2 GB.
 MAX_WITNESS_TERMS = 1 << 25
+# Peak RSS of `noncompact sweep` grows like size^{3/2}, with the disc's
+# (n_max - 1) x k_max x k_max stack of (1,1) blocks: 124 MB at size 2^17 and
+# 245 MB at 2^18 (one BLAS thread), so by that law this size needs 1.6 GB.
+MAX_SWEEP_SIZE = 1 << 20
 
 
 def singular_values(matrix: np.ndarray) -> np.ndarray:
@@ -170,8 +174,9 @@ def compression_sweep(model: str, sizes: tuple[int, ...]) -> SweepProfile:
     spec = _model(model)
     if list(sizes) != sorted(set(sizes)):
         raise ValueError("sizes must be strictly increasing")
-    if sizes and sizes[0] < 1:
-        raise ValueError("sizes must be >= 1")
+    if sizes and not 1 <= sizes[0] <= sizes[-1] <= MAX_SWEEP_SIZE:
+        # Refused before any spectrum runs, for every model.
+        raise ValueError(f"sizes must lie in [1, {MAX_SWEEP_SIZE}]")
     if len(set(map(spec.sweep_dims, sizes))) < len(sizes):
         raise ValueError(f"sizes must map to distinct {model} dimensions")
     spectra = [spec.sweep_spectrum(size) for size in sizes]

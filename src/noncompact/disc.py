@@ -146,12 +146,6 @@ def disc_singular_values(n_max: int, k_max: int) -> np.ndarray:
     return -np.sort(-np.concatenate([cauchy, spectra, spectra, np.zeros(k_max)]))
 
 
-def correction_singular_values(k_max: int) -> np.ndarray:
-    """Singular values 1/(2 alpha_{0,k}) of the subtracted diagonal
-    correction, k = 1..k_max (descending)."""
-    return 1.0 / (2.0 * specfun.bessel_zeros(0, k_max))
-
-
 # The witness with coefficients sqrt(n)/(n+ell) on |2,1,ell,->, ell = 1..L,
 # has the interval witness's coefficients, so it is that function.
 disc_witness = interval_witness
@@ -172,7 +166,8 @@ def disc_image_coefficients(n: int, k_rows: int, truncation: int) -> np.ndarray:
     of about 2^17 terms, columns l > M without zeros by McMahon's alpha_{0,l}
     < beta + 1/(8 beta), beta = pi(l - 1/4) (checked, not proven): with r+-
     the roots of beta^2 + A beta + 1/8, A = alpha_{0,k}, the term is at least
-    beta/((beta - r+)(beta - r-)), summed in digamma differences (DLMF 5.7)."""
+    beta/((beta - r+)(beta - r-)), whose partial fractions in l are each a
+    specfun.pair_sum."""
     if n < 1 or k_rows < 1 or truncation < 1:
         raise ValueError("n, k_rows, truncation must be >= 1")
     m = min(64, truncation)
@@ -180,9 +175,7 @@ def disc_image_coefficients(n: int, k_rows: int, truncation: int) -> np.ndarray:
     terms = 1.0 / (n + np.arange(1, m + 1, dtype=float))
 
     def far(r):  # sum_{l=M+1}^{L} 1/((n+l)(l+c)) at c = -1/4 - r/pi
-        psi, c = _sp.digamma, -0.25 - r / math.pi
-        head = psi(truncation + 1 + c) - psi(m + 1 + c)
-        return (head - (psi(truncation + 1 + n) - psi(m + 1 + n))) / (n - c)
+        return specfun.pair_sum(n, -0.25 - r / math.pi, m, truncation)
 
     out = np.empty(k_rows)
     step = (1 << 17) // m
@@ -204,16 +197,13 @@ def disc_image_bracket(n: int, k_rows: int) -> tuple[np.ndarray, np.ndarray]:
     image coefficients on |1,1,k,+>, k = 1..k_rows; no Bessel zero is used.
     The J_0 band pi(j - 1/4) < alpha_{0,j} < pi(j - 1/8) (Watson ch. 15; DLMF
     10.21) bounds 1/(alpha_{0,k}+alpha_{0,ell}) by 1/(pi(ell+c)) at c = k - 1/4
-    (below) and c = k - 1/2 (above); by partial fractions (DLMF 5.7) the sum
-    over ell >= 1 of sqrt(n)/((n+ell) pi (ell+c)) is
-    (sqrt(n)/pi)(psi(n+1) - psi(c+1))/(n - c), c never being the integer n.
-    Float64 rounding of the digamma values is not controlled."""
+    (below) and c = k - 1/2 (above), so each bound is sqrt(n)/pi times
+    specfun.pair_sum(n, c, 0) (float64 rounding not controlled)."""
     if n < 1 or k_rows < 1:
         raise ValueError("n and k_rows must be >= 1")
     k = np.arange(1, k_rows + 1, dtype=float)
     return tuple(
-        math.sqrt(n) / math.pi * (_sp.digamma(n + 1) - _sp.digamma(c + 1)) / (n - c)
-        for c in (k - 0.25, k - 0.5)
+        math.sqrt(n) / math.pi * specfun.pair_sum(n, c, 0) for c in (k - 0.25, k - 0.5)
     )
 
 

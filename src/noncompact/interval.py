@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
+
+from . import specfun
 
 TWO_PI = 2.0 * math.pi
 
@@ -115,11 +116,12 @@ def interval_singular_values(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WitnessVector:
-    """Truncated witness vector with a rigorous tail bound.
+    """Truncated witness vector with the l2 norm of its omitted coefficients.
 
-    coefficients[i] is the weight on the i-th labeled mode; tail_bound bounds
-    the l2 norm of the omitted coefficients.  scale is the sequence parameter
-    (m for the interval model, n for the disc model).
+    coefficients[i] is the weight on the i-th labeled mode; tail_bound is the
+    square root of the exact series tail m * sum_{l>L} 1/(l+m)^2 (float64
+    rounding not controlled).  scale is the sequence parameter (m for the
+    interval model, n for the disc model).
     """
 
     coefficients: np.ndarray
@@ -133,7 +135,7 @@ class WitnessVector:
 
     @property
     def closed_form_norm_sq(self) -> float:
-        return self.scale * float(_sp.polygamma(1, self.scale + 1))
+        return self.scale * float(specfun.pair_sum(self.scale, self.scale, 0))
 
 
 def interval_witness(m: int, truncation: int) -> WitnessVector:
@@ -143,7 +145,7 @@ def interval_witness(m: int, truncation: int) -> WitnessVector:
         raise ValueError("m and truncation must be >= 1")
     n = np.arange(1, truncation + 1, dtype=float)
     coeffs = math.sqrt(m) / (n + m)
-    tail_sq = m * float(_sp.polygamma(1, m + truncation + 1))
+    tail_sq = m * float(specfun.pair_sum(m, m, truncation))
     return WitnessVector(
         coefficients=coeffs,
         truncation=truncation,
@@ -158,23 +160,10 @@ def interval_image_coefficients(
     """Moduli of the image coefficients on e^{2 pi i l x}, l = 0..k_rows-1,
     of the witness truncated to l_cols terms (the full witness if None).
 
-    Partial fractions give the inner sums as digamma differences, whose
-    psi(. + L + 1) terms vanish at L = infinity.  Every summed term is
-    positive, so a truncated value is a lower bound for the full one in exact
-    arithmetic (float64 rounding is not controlled)."""
+    Each modulus is sqrt(m)/(2 pi) times specfun.pair_sum(m, l, 0, L).
+    Every summed term is positive, so a truncated value is a lower bound for
+    the full one in exact arithmetic (float64 rounding is not controlled)."""
     if m < 1 or k_rows < 1 or (l_cols is not None and l_cols < 1):
         raise ValueError("m, k_rows, l_cols must be >= 1")
-
-    def top(order, x):  # psi^(order)(x + L + 1), 0 at L = infinity
-        return 0.0 if l_cols is None else _sp.polygamma(order, x + l_cols + 1)
-
-    ell = np.arange(k_rows, dtype=float)
-    s = np.empty(k_rows)
-    off = ell != m
-    lo = ell[off]
-    # sum_{n=1}^{L} 1/((n+m)(n+l)) for l != m.
-    s[off] = (
-        (top(0, lo) - _sp.digamma(lo + 1)) - (top(0, m) - _sp.digamma(m + 1))
-    ) / (m - lo)
-    s[~off] = _sp.polygamma(1, m + 1) - top(1, m)
+    s = specfun.pair_sum(m, np.arange(k_rows, dtype=float), 0, l_cols)
     return math.sqrt(m) / TWO_PI * s

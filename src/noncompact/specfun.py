@@ -1,15 +1,15 @@
-"""Special-function kernels: the Bessel derivative J_n' and the positive
-Bessel zeros with sign-change brackets.
+"""Special-function kernels: the partial-fraction sum pair_sum behind every
+witness closed form (the one caller of scipy's digamma and polygamma), the
+Bessel derivative J_n' and the positive Bessel zeros with sign-change brackets.
 
-The classical functions themselves (digamma, polygamma, J_n, I_n) are called
-from scipy.special directly, well inside the accuracy budget everywhere they
-are used.  Zero finding is done here, by one path for every order: the k-th
-zero of J_n is isolated by the band (pi(k - 1/4), pi(k - 1/8)) for n = 0 and
-by the zeros of J_{n-1} (interlacing, DLMF 10.21(i)) for n >= 1; a bracketed
-Newton iteration on the forward J_0/J_1 recurrence, vectorized over the ranks
-not yet cached, refines it, and it is stored with a bracket across which
-scipy's J_n changes sign inside that interval.  The sign check trusts scipy's
-J_n, which carries no error bound.
+J_n and I_n are called from scipy.special directly.  Zero finding is done
+here, by one path for every order: the k-th zero of J_n is isolated by the
+band (pi(k - 1/4), pi(k - 1/8)) for n = 0 and by the zeros of J_{n-1}
+(interlacing, DLMF 10.21(i)) for n >= 1; a bracketed Newton iteration on the
+forward J_0/J_1 recurrence, vectorized over the ranks not yet cached, refines
+it, and it is stored with a bracket across which scipy's J_n changes sign
+inside that interval.  The sign check trusts scipy's J_n, which carries no
+error bound.
 """
 
 from __future__ import annotations
@@ -31,6 +31,27 @@ class BracketError(RuntimeError):
 def _check_order(n: int) -> None:
     if n < 0 or n != int(n):
         raise ValueError(f"order must be a nonnegative integer, got {n!r}")
+
+
+def pair_sum(a: float, b, lo: int, hi: int | None = None) -> np.ndarray:
+    """sum_{l=lo+1}^{hi} 1/((l+a)(l+b)), elementwise over the array b, with
+    hi=None meaning infinity.  Partial fractions and sum_{l=lo+1}^{hi} 1/(l+x)
+    = psi(hi+1+x) - psi(lo+1+x) (DLMF 5.5.2) make it that difference at b
+    minus the one at a, over a - b, and psi'(lo+1+a) - psi'(hi+1+a) where
+    b = a (DLMF 5.15.1); psi(hi+1+.) drops out at hi = infinity (DLMF 5.7.6).
+    Float64 rounding is not controlled: for b near a the differences cancel."""
+    b = np.asarray(b, dtype=float)
+
+    def diff(order, x):  # psi^(order)(hi+1+x) - psi^(order)(lo+1+x)
+        # digamma directly: polygamma(0, .) would also evaluate a zeta branch.
+        psi = _sp.digamma if order == 0 else lambda y: _sp.polygamma(order, y)
+        return (0.0 if hi is None else psi(hi + 1 + x)) - psi(lo + 1 + x)
+
+    out = np.empty(b.shape)
+    off = b != a
+    out[off] = (diff(0, b[off]) - diff(0, a)) / (a - b[off])
+    out[~off] = -diff(1, a)
+    return out
 
 
 def bessel_jprime(n: int, x):

@@ -28,7 +28,7 @@ def test_singular_values_rank_one():
 
 
 def test_singular_values_of_correction_diagonal():
-    k = disc.correction_singular_values(4)
+    k = 0.5 / specfun.bessel_zeros(0, 4)
     sv = analysis.singular_values(np.diag(k.astype(complex)))
     np.testing.assert_allclose(sv, 0.5 / specfun.bessel_zeros(0, 4), atol=1e-14)
     np.testing.assert_allclose(
@@ -344,6 +344,21 @@ def test_cli_config_errors(capsys, tmp_path, monkeypatch):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert cli.main(["interval", "--grid", "0,5"]) == 2
+    capsys.readouterr()
+
+    def no_spectrum(size):
+        raise AssertionError("a sweep spectrum ran before a configuration error")
+
+    # The sweep refuses a size above the limit before the interval spectrum,
+    # which the CLI computes first, also when the smaller sizes are valid.
+    monkeypatch.setattr(interval, "interval_singular_values", no_spectrum)
+    monkeypatch.setattr(disc, "disc_singular_values", no_spectrum)
+    too_big = analysis.MAX_SWEEP_SIZE + 1
+    for sizes in (f"{too_big}", f"64,{too_big}"):
+        assert cli.main(["sweep", "--sizes", sizes]) == 2, sizes
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --sizes: ")
     assert cli.main(["bogus"]) == 2
     assert cli.main(["interval", "--grid", "abc"]) == 2
     capsys.readouterr()

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 import random
 
@@ -8,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special as sp
 
-from noncompact import specfun
+from noncompact import disc, interval, specfun
 
 
 # --- independent oracles -----------------------------------------------------
@@ -60,7 +62,8 @@ def bisect_series_zero(n: int, lo: float, hi: float) -> float:
 
 
 # --- scipy.special against independent oracles ------------------------------
-# The models call digamma, polygamma, J_n and I_n from scipy.special directly.
+# specfun.pair_sum calls digamma and polygamma; the models call J_n and I_n
+# from scipy.special directly.
 
 
 def test_digamma_recurrence_step():
@@ -96,6 +99,103 @@ def test_polygamma_recurrences(x):
     assert sp.polygamma(1, x + 1) - sp.polygamma(1, x) == pytest.approx(
         -1.0 / x**2, abs=1e-12
     )
+
+
+# --- pair_sum against the sums themselves --------------------------------------
+
+
+def pair_sum_oracle(a, b, lo, hi):
+    # math.fsum of the float terms for finite hi (each term within 1.5 eps,
+    # all positive), mpmath's Euler-Maclaurin nsum at 20 digits for hi = inf.
+    if hi is None:
+        with mpmath.workdps(20):
+            term = lambda l: 1 / ((l + a) * (l + b))  # noqa: E731
+            return float(mpmath.nsum(term, [lo + 1, mpmath.inf], method="e"))
+    ell = np.arange(lo + 1, hi + 1, dtype=float)
+    return math.fsum(1.0 / ((ell + a) * (ell + b)))
+
+
+def psi_scale(a, b, lo, hi):
+    # The psi values the closed form combines, over |a - b| (psi' at b = a):
+    # for b near a they cancel, leaving rounding of order eps times this.
+    def size(order, x):
+        top = 0.0 if hi is None else abs(sp.polygamma(order, hi + 1 + x))
+        return top + abs(sp.polygamma(order, lo + 1 + x))
+
+    return size(1, a) if b == a else (size(0, a) + size(0, b)) / abs(a - b)
+
+
+def _near(a, spread=2):
+    return [b for b in range(a - spread, a + spread + 1) if b >= 0 and b != a]
+
+
+def _far_field_c(n, rows):
+    # c = -1/4 - r/pi at both roots r of beta^2 + alpha_{0,k} beta + 1/8, as
+    # in disc.disc_image_coefficients.
+    alpha = specfun.bessel_zeros(0, max(rows))[np.array(rows) - 1]
+    r_minus = -0.5 * (alpha + np.sqrt(alpha * alpha - 0.5))
+    return np.concatenate([-0.25 - r / math.pi for r in (0.125 / r_minus, r_minus)])
+
+
+PAIR_SUM_CASES = (
+    # Interval rows: b = l = 0..k, lo = 0, hi = L >= 1000 or infinity.
+    [(m, [0, 1, 2, 5, 19, *_near(m)], 0, hi) for m in (1, 7, 100, 10**4)
+     for hi in (1000, 10**5, None)]
+    # The diagonal b = a, with the witness tail lo = L.
+    + [(a, [a], lo, hi) for a in (1, 7, 1000, 10**4)
+       for lo, hi in ((0, 1000), (0, None), (1000, None), (10**5, None))]
+    # The disc far field: lo = 64, hi = K = max(10 n, 1000), real rows.
+    + [(n, _far_field_c(n, sorted({1, 2, 10, *_near(n, 1), n, K})), 64, K)
+       for n in (1, 7, 100, 1000) for K in [max(10 * n, 1000)]]
+    # The disc bracket: c = k - 1/4 and k - 1/2, hi = infinity.
+    + [(n, [k - d for k in {1, 3, n, n + 1, 4000} for d in (0.25, 0.5)], 0, None)
+       for n in (1, 7, 1000, 10**4)]
+)
+
+
+@pytest.mark.parametrize("a, bs, lo, hi", PAIR_SUM_CASES)
+def test_pair_sum_matches_the_summed_terms(a, bs, lo, hi):
+    # The worst error measured on these cases is 0.78 eps (psi_scale + |sum|)
+    # (a = b = 1, hi = 1000); the tolerance is 4 eps times that scale.  Near
+    # the diagonal the cancellation makes it up to 8.2e-11 relative (a = 10^4,
+    # b = 9998, hi = 1000); on the diagonal itself it stays below 1e-15.
+    got = specfun.pair_sum(a, np.array(bs, dtype=float), lo, hi)
+    assert got.shape == (len(bs),)
+    eps = np.finfo(float).eps
+    for value, b in zip(got, bs):
+        want = pair_sum_oracle(a, b, lo, hi)
+        tol = 4 * eps * (psi_scale(a, b, lo, hi) + abs(want))
+        assert abs(value - want) <= tol, (a, b, lo, hi, value, want)
+
+
+def test_every_closed_form_goes_through_pair_sum(monkeypatch):
+    # The six psi evaluations of the models: the rows l != m and l = m of the
+    # interval image coefficients, the witness's closed norm and its tail,
+    # the disc far field (L > 64) and the disc bracket.
+    def refuse(*args, **kwargs):
+        raise AssertionError("pair_sum was called")
+
+    monkeypatch.setattr(specfun, "pair_sum", refuse)
+    witness = interval.WitnessVector(np.ones(1), truncation=1, tail_bound=0.0, scale=3)
+    calls = (
+        lambda: interval.interval_image_coefficients(5, 3),
+        lambda: interval.interval_image_coefficients(2, 3, 10),
+        lambda: witness.closed_form_norm_sq,
+        lambda: interval.interval_witness(3, 10),
+        lambda: disc.disc_image_coefficients(3, 2, 100),
+        lambda: disc.disc_image_bracket(3, 2),
+    )
+    for call in calls:
+        with pytest.raises(AssertionError, match="pair_sum was called"):
+            call()
+    tree = ast.parse(inspect.getsource(interval))
+    imported = [
+        alias.name if isinstance(node, ast.Import) else node.module or ""
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert not any(name.split(".")[0] == "scipy" for name in imported), imported
 
 
 def test_bessel_j_trivial_values():

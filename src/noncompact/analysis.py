@@ -16,7 +16,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import disc as _disc
 from . import interval as _interval
 
 SWEEP_THRESHOLDS = (0.01, 0.05, 0.1, 0.25)
@@ -99,6 +98,14 @@ class Model:
     sweep_dims: Callable[[int], object]
 
 
+def _disc():
+    # Imported on first use: disc loads scipy.special, which the interval
+    # model never needs.
+    from . import disc
+
+    return disc
+
+
 def _interval_image(m: int, trunc: int, indices: tuple[int, ...]):
     # The norm of the truncated image (rows l < trunc), the full pairings.
     zeta = float(np.linalg.norm(_interval.interval_image_coefficients(m, trunc, trunc)))
@@ -109,7 +116,7 @@ def _interval_image(m: int, trunc: int, indices: tuple[int, ...]):
 def _disc_image(n: int, trunc: int, indices: tuple[int, ...]):
     # One coefficient vector gives both the image norm (rows k <= trunc) and
     # the pairings.
-    coeffs = _disc.disc_image_coefficients(n, max(trunc, *indices), trunc)
+    coeffs = _disc().disc_image_coefficients(n, max(trunc, *indices), trunc)
     zeta = float(np.linalg.norm(coeffs[:trunc]))
     return zeta, [float(coeffs[k - 1]) for k in indices]
 
@@ -139,13 +146,13 @@ MODELS = {
         sweep_dims=lambda size: size,
     ),
     "disc": Model(
-        witness=lambda n, trunc: _disc.disc_witness(n, trunc),
+        witness=lambda n, trunc: _disc().disc_witness(n, trunc),
         image=_disc_image,
         bound=lambda n: (n - 1) / (4.0 * n * math.pi**2),
         # Radial indices k.
         pairing_indices=(1, 2, 3),
         decay_threshold=0.1,
-        pairing_upper_bound=lambda n, k: float(_disc.disc_image_bracket(n, k)[1][-1]),
+        pairing_upper_bound=lambda n, k: float(_disc().disc_image_bracket(n, k)[1][-1]),
         row_columns={
             "n": "point",
             "L": "truncation",
@@ -158,7 +165,7 @@ MODELS = {
             "pairing_k3": "pairing_2",
             "verdict": "verdict",
         },
-        sweep_spectrum=lambda size: _disc.disc_singular_values(*disc_sweep_dims(size)),
+        sweep_spectrum=lambda size: _disc().disc_singular_values(*disc_sweep_dims(size)),
         sweep_dims=disc_sweep_dims,
     ),
 }

@@ -118,7 +118,9 @@ def main(argv: list[str] | None = None) -> int:
             return config_error(f"--out: cannot write {args.out!r}")
 
     warnings: list[str] = []
-    # Each subcommand imports only what it uses: `index` needs no numpy.
+    # Each subcommand imports only what it uses: `index` needs no numpy and
+    # `interval` no scipy.  `disc` and `sweep` import the disc model, and with
+    # it scipy, before any spectrum or sum runs.
     if args.command == "index":
         from . import aps
 
@@ -147,6 +149,8 @@ def main(argv: list[str] | None = None) -> int:
             return config_error("--trunc-factor must be >= 1")
         from . import analysis, specfun
 
+        if args.command == "disc":
+            from . import disc  # noqa: F401
         try:
             report = analysis.witness_protocol(
                 args.command, tuple(args.grid), trunc_factor=args.trunc_factor
@@ -164,7 +168,7 @@ def main(argv: list[str] | None = None) -> int:
         warnings = report.warnings
         ok = report.verdict == "pass"
     else:  # sweep
-        from . import analysis
+        from . import analysis, disc  # noqa: F401
 
         try:
             profiles = [

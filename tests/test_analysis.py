@@ -498,6 +498,28 @@ def test_threads_flag_precedes_numpy():
     assert run.stdout.startswith("N,dim_plus,dim_minus,index")
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+@pytest.mark.parametrize(
+    "argv", [["sweep", "--sizes", "64,256"], ["disc", "--grid", "100,1000"]]
+)
+def test_threads_flag_leaves_one_os_thread(argv):
+    # The BLAS libraries of numpy and scipy start their thread pools when
+    # they load.  Measured on 2 cores: 1 OS thread at the end of either run
+    # with --threads 1, 3 without the flag.  The probe drops inherited thread
+    # variables first, so only the flag can cap the pools.
+    probe = (
+        "import os, sys; "
+        "[os.environ.pop(v, None) for v in "
+        "('OMP_NUM_THREADS', 'OPENBLAS_NUM_THREADS', 'MKL_NUM_THREADS')]; "
+        "from noncompact import cli; "
+        "code = cli.main(sys.argv[1:] + ['--out', os.devnull]); "
+        "print(code, len(os.listdir('/proc/self/task')))"
+    )
+    run = _run_python("-c", probe, "--threads", "1", *argv)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["0", "1"]
+
+
 def test_python_dash_m_runs_the_cli():
     run = _run_python("-m", "noncompact", "index")
     assert run.returncode == 0, run.stderr
@@ -505,17 +527,28 @@ def test_python_dash_m_runs_the_cli():
 
 
 def test_subcommands_import_only_what_they_use():
+    # `index` loads no numpy and `interval` no scipy (its psi sums are numpy);
+    # `disc` loads scipy.special for the Bessel functions and nothing more.
     probe = (
         "import os, sys; from noncompact import cli; "
         "code = cli.main(sys.argv[1:] + ['--out', os.devnull]); "
-        "print(code, 'scipy' in sys.modules, 'scipy.optimize' in sys.modules)"
+        "print(code, *(name in sys.modules for name in "
+        "('numpy', 'scipy', 'scipy.special', 'scipy.optimize', 'scipy.linalg')))"
     )
-    index = _run_python("-c", probe.replace("'scipy' in", "'numpy' in"), "index")
-    assert index.returncode == 0, index.stderr
-    assert index.stdout.split() == ["0", "False", "False"]
-    interval_run = _run_python("-c", probe, "interval", "--grid", "20,60")
-    assert interval_run.returncode == 0, interval_run.stderr
-    assert interval_run.stdout.split()[1:] == ["True", "False"]
+    loaded = {}
+    for command in ("index", "interval", "disc"):
+        run = _run_python("-c", probe, command)
+        assert run.returncode == 0, run.stderr
+        loaded[command] = run.stdout.split()
+    assert loaded == {
+        "index": ["0", "False", "False", "False", "False", "False"],
+        "interval": ["0", "True", "False", "False", "False", "False"],
+        "disc": ["0", "True", "True", "True", "False", "False"],
+    }
+    analysis_import = _run_python(
+        "-c", "import sys, noncompact.analysis; print('scipy' in sys.modules)"
+    )
+    assert analysis_import.stdout.strip() == "False", analysis_import.stderr
 
 
 def test_tracer_counts_every_counted_call():

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special as sp
 
-from noncompact import aps, disc, quadrature, specfun
+from noncompact import analysis, aps, disc, quadrature, specfun
 
 RADII = np.linspace(0.05, 0.95, 37)
 
@@ -279,6 +279,33 @@ def test_image_norm_clears_model_bound():
     bound = (n - 1) / (4.0 * n * math.pi**2)
     value = np.linalg.norm(disc.disc_image_coefficients(n, 1000, 1000))
     assert value**2 >= bound
+
+
+@pytest.mark.parametrize("n", [100, 1000, 3000])
+def test_disc_premise_holds_in_interval_arithmetic(n):
+    # Certified with mpmath.iv (outward rounding), using no psi and no Bessel
+    # zero.  By the J_0 band the full image coefficient on row k exceeds the
+    # lower end of disc_image_bracket, sqrt(n)/pi sum_{l>=1} f(l) with
+    # f(l) = 1/((n+l)(l+c)), c = k - 1/4.  f decreases, so the terms l > L
+    # sum to at least int_{L+1}^inf f = ln((L+1+n)/(L+1+c))/(n-c).  The
+    # squared norm over rows k <= 50 then bounds the untruncated zeta^2 from
+    # below: it encloses 0.235, 0.0845 and 0.0442 at n = 100, 1000 and 3000,
+    # against the premise (n-1)/(4 n pi^2) ~ 0.025.
+    iv = mpmath.iv
+    L, rows = 100, 50
+    lower_sq = iv.mpf(0)
+    for k in range(1, rows + 1):
+        c = k - iv.mpf(1) / 4
+        s = sum(1 / ((n + ell) * (ell + c)) for ell in range(1, L + 1))
+        s += iv.log((L + 1 + n) / (L + 1 + c)) / (n - c)
+        lower_sq += (iv.sqrt(n) / iv.pi * s) ** 2
+    # An iv comparison is True only if it holds at every point of both sides.
+    assert (lower_sq > (n - 1) / (4 * n * iv.pi**2)) is True
+    # The float bracket and the program's truncated zeta^2 agree with it.
+    bracket = disc.disc_image_bracket(n, rows)[0]
+    assert np.sum(bracket**2) >= float(lower_sq.a) * (1 - 1e-12)
+    report = analysis.witness_protocol("disc", (n,))
+    assert report.zeta_lower_sq[0] >= report.model_bound[0]
 
 
 # --- pointwise residuals -------------------------------------------------------

@@ -24,9 +24,10 @@ MIN_TRUNCATION = 1000
 NESTING_TOL = 1e-10
 INTERVAL_BOUND = 1.0 / (4.0 * math.pi**2)
 XI_NORM_CAP = 1.01
-# Peak memory grows by 46-56 bytes per truncation term (peak RSS of `noncompact
-# interval --grid 1`: 163 MB at 2e6 terms, 428 MB at 8e6), so this many
-# terms need under 2 GB.
+# Peak RSS of `noncompact interval --grid 1 --trunc-factor N` grows by under
+# 100 bytes per term (115 MiB at N = 1e6, 373 MiB at 4e6, 1281 MiB at 1.6e7
+# and 2622 MiB at this limit: 90, then 80 bytes per term), so this many terms
+# need under 3 GiB.
 MAX_WITNESS_TERMS = 1 << 25
 # Peak RSS of `noncompact sweep` grows like size^{3/2}, with the disc's
 # (n_max - 1) x k_max x k_max stack of (1,1) blocks: 124 MB at size 2^17 and
@@ -81,14 +82,14 @@ class Model:
 
     witness: Callable[[int, int], _interval.WitnessVector]
     # (grid point, truncation, pairing indices) -> (image-norm lower bound,
-    # pairing moduli).
-    image: Callable[[int, int, tuple[int, ...]], tuple[float, list[float]]]
+    # pairing moduli, closed-form upper bounds of the full pairings, which
+    # the computed ones must not exceed, or None if the model has none).
+    image: Callable[
+        [int, int, tuple[int, ...]], tuple[float, list[float], list[float] | None]
+    ]
     bound: Callable[[int], float]
     pairing_indices: tuple[int, ...]
     decay_threshold: float
-    # (grid point, pairing index) -> closed-form upper bound of the full
-    # pairing, which each computed pairing must not exceed; None if none.
-    pairing_upper_bound: Callable[[int, int], float] | None
     # CSV column -> key of the per-point values in witness_report_rows.
     row_columns: dict[str, str]
     # Size -> all singular values, descending, of the compression, computed
@@ -110,15 +111,21 @@ def _interval_image(m: int, trunc: int, indices: tuple[int, ...]):
     # The norm of the truncated image (rows l < trunc), the full pairings.
     zeta = float(np.linalg.norm(_interval.interval_image_coefficients(m, trunc, trunc)))
     pairings = _interval.interval_image_coefficients(m, max(indices) + 1)
-    return zeta, [float(pairings[p]) for p in indices]
+    return zeta, [float(pairings[p]) for p in indices], None
 
 
 def _disc_image(n: int, trunc: int, indices: tuple[int, ...]):
     # One coefficient vector gives both the image norm (rows k <= trunc) and
-    # the pairings.
-    coeffs = _disc().disc_image_coefficients(n, max(trunc, *indices), trunc)
+    # the pairings, and one bracket the upper ends at every pairing index.
+    disc = _disc()
+    coeffs = disc.disc_image_coefficients(n, max(trunc, *indices), trunc)
     zeta = float(np.linalg.norm(coeffs[:trunc]))
-    return zeta, [float(coeffs[k - 1]) for k in indices]
+    upper = disc.disc_image_bracket(n, max(indices))[1]
+    return (
+        zeta,
+        [float(coeffs[k - 1]) for k in indices],
+        [float(upper[k - 1]) for k in indices],
+    )
 
 
 MODELS = {
@@ -129,7 +136,6 @@ MODELS = {
         # Fourier indices p.
         pairing_indices=(0, 1, 5),
         decay_threshold=0.05,
-        pairing_upper_bound=None,
         row_columns={
             "m": "point",
             "L": "truncation",
@@ -152,7 +158,6 @@ MODELS = {
         # Radial indices k.
         pairing_indices=(1, 2, 3),
         decay_threshold=0.1,
-        pairing_upper_bound=lambda n, k: float(_disc().disc_image_bracket(n, k)[1][-1]),
         row_columns={
             "n": "point",
             "L": "truncation",
@@ -236,6 +241,8 @@ def witness_protocol(
         raise ValueError("grid must be nonempty")
     if list(grid) != sorted(set(grid)):
         raise ValueError("grid must be strictly increasing")
+    if trunc_factor < 1:
+        raise ValueError(f"trunc_factor must be >= 1, got {trunc_factor}")
     truncs = [max(trunc_factor * point, MIN_TRUNCATION) for point in grid]
     if max(truncs) > MAX_WITNESS_TERMS:
         # Refused before a witness vector of that length is allocated.
@@ -244,7 +251,6 @@ def witness_protocol(
             f"{MAX_WITNESS_TERMS} terms"
         )
     indices = spec.pairing_indices
-    upper_bound = spec.pairing_upper_bound
 
     xi_norm_sq: list[float] = []
     xi_tail_sq: list[float] = []
@@ -252,15 +258,15 @@ def witness_protocol(
     zeta_sq: list[float] = []
     bounds: list[float] = []
     pairings: list[list[float]] = []
-    upper: list[list[float]] | None = None if upper_bound is None else []
+    upper: list[list[float]] = []
 
     for point, trunc in zip(grid, truncs):
         witness = spec.witness(point, trunc)
-        zeta, pairing = spec.image(point, trunc, indices)
+        zeta, pairing, upper_row = spec.image(point, trunc, indices)
         bounds.append(spec.bound(point))
         pairings.append(pairing)
-        if upper is not None:
-            upper.append([upper_bound(point, k) for k in indices])
+        if upper_row is not None:
+            upper.append(upper_row)
         xi_norm_sq.append(witness.norm_sq)
         xi_tail_sq.append(witness.tail_bound**2)
         xi_closed.append(witness.closed_form_norm_sq)
@@ -292,7 +298,7 @@ def witness_protocol(
             if col[-1] >= spec.decay_threshold:
                 decay_ok = False
     upper_ok = all(
-        p <= u for row, urow in zip(pairings, upper or []) for p, u in zip(row, urow)
+        p <= u for row, urow in zip(pairings, upper) for p, u in zip(row, urow)
     )
 
     verdict = "pass" if (bounded and above_bound and decay_ok and upper_ok) else "fail"
@@ -306,7 +312,7 @@ def witness_protocol(
         model_bound=bounds,
         pairing_indices=list(indices),
         pairings=pairings,
-        pairing_upper_bounds=upper,
+        pairing_upper_bounds=upper or None,
         verdict=verdict,
         non_informative=non_informative,
         warnings=warnings,
@@ -347,14 +353,11 @@ def witness_report_dict(report: WitnessReport) -> dict:
     }
 
 
-def sweep_report_dict(
-    profile: SweepProfile, witness: WitnessReport | None = None
-) -> dict:
+def sweep_report_dict(profile: SweepProfile) -> dict:
     return {
         "model": profile.model,
         "sizes": profile.sizes,
         "thresholds": profile.thresholds,
         "sv": [sv[:64].tolist() for sv in profile.singular_values],
         "counts": profile.counts_above,
-        "witness": witness_report_dict(witness) if witness is not None else None,
     }

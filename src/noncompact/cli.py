@@ -157,9 +157,10 @@ def main(argv: list[str] | None = None) -> int:
             )
         except (ValueError, specfun.BracketError) as exc:
             # A grid that is not strictly increasing, or a truncation beyond
-            # analysis.MAX_WITNESS_TERMS (under 2 GB), is refused before any
-            # sum runs.  The disc rows need zeros of J_0 beyond 2^18 once a
-            # grid point times --trunc-factor exceeds about 83 000.
+            # analysis.MAX_WITNESS_TERMS (under 3 GiB of peak memory), is
+            # refused before any sum runs.  The disc rows need zeros of J_0
+            # beyond 2^18 once a grid point times --trunc-factor exceeds
+            # about 83 000.
             return config_error(f"--grid: {exc}")
         if args.format == "csv":
             text = _rows_to_csv_text(analysis.witness_report_rows(report))

@@ -162,33 +162,30 @@ def disc_image_coefficient(n: int, k: int, truncation: int) -> float:
 def disc_image_coefficients(n: int, k_rows: int, truncation: int) -> np.ndarray:
     """disc_image_coefficient for k = 1..k_rows: sqrt(n) times a lower bound
     of sum_{l<=L} 1/((n+l)(alpha_{0,k}+alpha_{0,l})) (float64 rounding is not
-    controlled).  Columns l <= M = min(64, L) are summed exactly in row strips
-    of about 2^17 terms, columns l > M without zeros by McMahon's alpha_{0,l}
-    < beta + 1/(8 beta), beta = pi(l - 1/4) (checked, not proven): with r+-
-    the roots of beta^2 + A beta + 1/8, A = alpha_{0,k}, the term is at least
-    beta/((beta - r+)(beta - r-)), whose partial fractions in l are each a
-    specfun.pair_sum."""
+    controlled).  Columns l <= M = min(64, L) are summed exactly, one column
+    at a time over all rows, so memory stays O(k_rows).  Columns l > M need
+    no zeros, by McMahon's alpha_{0,l} < beta + 1/(8 beta), beta = pi(l - 1/4)
+    (checked, not proven): with r+- the roots of beta^2 + A beta + 1/8,
+    A = alpha_{0,k}, the term is at least beta/((beta - r+)(beta - r-)), whose
+    partial fractions in l are each a specfun.pair_sum."""
     if n < 1 or k_rows < 1 or truncation < 1:
         raise ValueError("n, k_rows, truncation must be >= 1")
     m = min(64, truncation)
     a = specfun.bessel_zeros(0, max(k_rows, m))
+    rows = a[:k_rows]
     terms = 1.0 / (n + np.arange(1, m + 1, dtype=float))
 
     def far(r):  # sum_{l=M+1}^{L} 1/((n+l)(l+c)) at c = -1/4 - r/pi
         return specfun.pair_sum(n, -0.25 - r / math.pi, m, truncation)
 
-    out = np.empty(k_rows)
-    step = (1 << 17) // m
-    buffer = np.empty((min(step, k_rows), m))
-    for s in range(0, k_rows, step):
-        rows = a[s : min(s + step, k_rows)]
-        block = np.add.outer(rows, a[:m], out=buffer[: rows.size])
-        out[s : s + step] = np.reciprocal(block, out=block) @ terms
-        if truncation > m:
-            r_minus = -0.5 * (rows + np.sqrt(rows * rows - 0.5))
-            r_plus = 0.125 / r_minus
-            pair = r_plus * far(r_plus) - r_minus * far(r_minus)
-            out[s : s + step] += pair / (math.pi * (r_plus - r_minus))
+    out = np.zeros(k_rows)
+    for l in range(m):
+        out += terms[l] / (rows + a[l])
+    if truncation > m:
+        r_minus = -0.5 * (rows + np.sqrt(rows * rows - 0.5))
+        r_plus = 0.125 / r_minus
+        pair = r_plus * far(r_plus) - r_minus * far(r_minus)
+        out += pair / (math.pi * (r_plus - r_minus))
     return math.sqrt(n) * out
 
 

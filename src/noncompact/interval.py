@@ -125,7 +125,6 @@ class WitnessVector:
     """
 
     coefficients: np.ndarray
-    truncation: int
     tail_bound: float
     scale: int
 
@@ -148,7 +147,6 @@ def interval_witness(m: int, truncation: int) -> WitnessVector:
     tail_sq = m * float(specfun.pair_sum(m, m, truncation))
     return WitnessVector(
         coefficients=coeffs,
-        truncation=truncation,
         tail_bound=math.sqrt(tail_sq),
         scale=m,
     )

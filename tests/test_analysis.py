@@ -247,6 +247,37 @@ def test_witness_protocol_validation():
             analysis.witness_protocol("disc", grid)
 
 
+@pytest.mark.parametrize("model", ["interval", "disc"])
+def test_witness_protocol_refuses_trunc_factor_below_one(monkeypatch, model):
+    # Refused before any witness is built, not run at the truncation floor.
+    def no_witness(*args, **kwargs):
+        raise AssertionError("a witness was built for a bad trunc_factor")
+
+    monkeypatch.setattr(interval, "interval_witness", no_witness)
+    for trunc_factor in (0, -5):
+        with pytest.raises(ValueError, match="trunc_factor must be >= 1"):
+            analysis.witness_protocol(model, (100, 1000), trunc_factor=trunc_factor)
+
+
+def test_disc_protocol_runs_one_bracket_per_grid_point(monkeypatch):
+    # One bracket over k = 1..3 per grid point gives the upper ends at every
+    # pairing index, the same values as a bracket per index.
+    bracket = disc.disc_image_bracket
+    calls = []
+
+    def counting(n, k_rows):
+        calls.append((n, k_rows))
+        return bracket(n, k_rows)
+
+    monkeypatch.setattr(disc, "disc_image_bracket", counting)
+    report = analysis.witness_protocol("disc", (100, 1000))
+    assert calls == [(100, 3), (1000, 3)]
+    assert report.pairing_upper_bounds == [
+        [float(bracket(n, k)[1][-1]) for k in (1, 2, 3)] for n in (100, 1000)
+    ]
+    assert analysis.witness_protocol("interval", (100, 1000)).pairing_upper_bounds is None
+
+
 # --- serialization -----------------------------------------------------------------
 
 
@@ -290,6 +321,7 @@ def test_sweep_report_dict_round_trips():
     loaded = json.loads(json.dumps(analysis.sweep_report_dict(profile)))
     assert loaded["model"] == "interval"
     assert loaded["sizes"] == [8, 16]
+    assert "witness" not in loaded
     assert len(loaded["sv"][0]) == 8
 
 
@@ -518,6 +550,34 @@ def test_threads_flag_leaves_one_os_thread(argv):
     run = _run_python("-c", probe, "--threads", "1", *argv)
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == ["0", "1"]
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "wait4") or not sys.platform.startswith("linux"),
+    reason="needs os.wait4 and ru_maxrss in KiB",
+)
+def test_witness_term_limit_memory_claim():
+    # The comment on analysis.MAX_WITNESS_TERMS: peak RSS of `interval --grid 1
+    # --trunc-factor N` grows by under 100 bytes per term, so the limit needs
+    # under 3 GiB.  Measured at 1e6 and 4e6 terms: 90 bytes per term, and
+    # 2.84 GiB by linear extrapolation (2.56 GiB measured at the limit).
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    peak = {}
+    for terms in (10**6, 4 * 10**6):
+        argv = ["interval", "--grid", "1", "--trunc-factor", str(terms)]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "noncompact", *argv, "--out", os.devnull],
+            env=env,
+            stderr=subprocess.DEVNULL,
+        )
+        _, status, usage = os.wait4(proc.pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0, argv
+        peak[terms] = usage.ru_maxrss * 1024  # KiB on Linux
+    slope = (peak[4 * 10**6] - peak[10**6]) / (3 * 10**6)
+    at_limit = peak[10**6] + slope * (analysis.MAX_WITNESS_TERMS - 10**6)
+    assert slope < 100, slope
+    assert at_limit < 3 * 2**30, at_limit
 
 
 def test_python_dash_m_runs_the_cli():

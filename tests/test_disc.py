@@ -153,7 +153,7 @@ def test_image_coefficients_vector_matches_scalar():
 @example(n=50, k_rows=1000, truncation=300)
 @example(n=50, k_rows=300, truncation=1000)
 @example(n=3, k_rows=1, truncation=5000)
-# Three strips of 2^17 // 64 = 2048 rows.
+# 5000 rows of 64 exact columns and a far field.
 @example(n=50, k_rows=5000, truncation=300)
 def test_image_coefficients_match_fsum(n, k_rows, truncation):
     # Oracle: each row's terms summed exactly by math.fsum.  For L <= 64 every
@@ -174,8 +174,9 @@ def test_image_coefficients_match_fsum(n, k_rows, truncation):
 
 
 def test_image_coefficients_buffer_is_bounded():
-    # 50 000 x 20 terms would be an 8 MB temporary; the strips share one buffer
-    # of 2^17 entries (1 MB).  The zeros are computed before tracing starts.
+    # 50 000 x 20 terms would be an 8 MB temporary; one column at a time,
+    # the sum holds a few vectors of 50 000 entries (400 kB each).  The zeros
+    # are computed before tracing starts.
     specfun.bessel_zeros(0, 50_000)
     tracemalloc.start()
     try:

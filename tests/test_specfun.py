@@ -199,7 +199,7 @@ def test_every_closed_form_goes_through_pair_sum(monkeypatch):
         raise AssertionError("pair_sum was called")
 
     monkeypatch.setattr(specfun, "pair_sum", refuse)
-    witness = interval.WitnessVector(np.ones(1), truncation=1, tail_bound=0.0, scale=3)
+    witness = interval.WitnessVector(np.ones(1), tail_bound=0.0, scale=3)
     calls = (
         lambda: interval.interval_image_coefficients(5, 3),
         lambda: interval.interval_image_coefficients(2, 3, 10),

@@ -25,9 +25,9 @@ NESTING_TOL = 1e-10
 INTERVAL_BOUND = 1.0 / (4.0 * math.pi**2)
 XI_NORM_CAP = 1.01
 # Peak RSS of `noncompact interval --grid 1 --trunc-factor N` grows by under
-# 100 bytes per term (115 MiB at N = 1e6, 373 MiB at 4e6, 1281 MiB at 1.6e7
-# and 2622 MiB at this limit: 90, then 80 bytes per term), so this many terms
-# need under 3 GiB.
+# 100 bytes per term (92 MiB at N = 1e6, 281 MiB at 4e6, 1037 MiB at 1.6e7
+# and 2141 MiB at this limit: 66 bytes per term), so this many terms need
+# under 3 GiB.
 MAX_WITNESS_TERMS = 1 << 25
 # Peak RSS of `noncompact sweep` grows like size^{3/2}, with the disc's
 # (n_max - 1) x k_max x k_max stack of (1,1) blocks: 124 MB at size 2^17 and
@@ -100,8 +100,8 @@ class Model:
 
 
 def _disc():
-    # Imported on first use: disc loads scipy.special, which the interval
-    # model never needs.
+    # Imported on first use, so the interval model never loads the disc
+    # model; disc imports scipy.special only for J_n (n >= 1) and I_n.
     from . import disc
 
     return disc

@@ -118,9 +118,9 @@ def main(argv: list[str] | None = None) -> int:
             return config_error(f"--out: cannot write {args.out!r}")
 
     warnings: list[str] = []
-    # Each subcommand imports only what it uses: `index` needs no numpy and
-    # `interval` no scipy.  `disc` and `sweep` import the disc model, and with
-    # it scipy, before any spectrum or sum runs.
+    # Each subcommand imports only what it uses: `index` needs no numpy, and
+    # `interval` and `disc` no scipy.  `sweep` imports scipy.special at the
+    # first zero of J_n, n >= 1, for its sign check.
     if args.command == "index":
         from . import aps
 
@@ -157,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
             )
         except (ValueError, specfun.BracketError) as exc:
             # A grid that is not strictly increasing, or a truncation beyond
-            # analysis.MAX_WITNESS_TERMS (under 3 GiB of peak memory), is
+            # analysis.MAX_WITNESS_TERMS (2.1 GiB of peak memory), is
             # refused before any sum runs.  The disc rows need zeros of J_0
             # beyond 2^18 once a grid point times --trunc-factor exceeds
             # about 83 000.

@@ -6,6 +6,9 @@ pointwise residual checks for eigenvectors and deficiency spinors.
 Modes are labeled (branch, n, k, sign) with eigenvalue sign * alpha_{n-1,k},
 alpha_{n,k} the k-th positive zero of J_n.  Mode enumeration is lexicographic
 in (branch, n, k) within each sign, so assembled matrices are reproducible.
+scipy.special is imported only inside the functions that evaluate J_n for
+n >= 1 or I_n (the mode normalization and the residual checks), so the
+spectra and the witness sums load no scipy.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import special as _sp
 
 from . import specfun
 from .interval import MAX_MATRIX_ENTRIES, CompressionSizeError
@@ -46,6 +48,8 @@ class DiscMode:
 
     @property
     def normalization(self) -> float:
+        from scipy import special as _sp
+
         return 1.0 / float(
             _sp.jv(self.angular, specfun.bessel_zero(self.angular - 1, self.radial))
         )
@@ -206,6 +210,8 @@ def disc_image_bracket(n: int, k_rows: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _ip(n: int, x: np.ndarray) -> np.ndarray:
     # I_n' via recurrence; I_{-1} = I_1.
+    from scipy import special as _sp
+
     return 0.5 * (_sp.iv(abs(n - 1), x) + _sp.iv(n + 1, x))
 
 
@@ -215,6 +221,8 @@ def eigenmode_residual(
     """Max pointwise norm of (D - eigenvalue) applied to scale * mode, with
     the radial derivatives evaluated through Bessel recurrences.  The operator
     is linear, so the residual is homogeneous of degree one in scale."""
+    from scipy import special as _sp
+
     r = np.asarray(radii, dtype=float)
     if np.any(r <= 0) or np.any(r >= 1):
         raise ValueError("radii must lie in (0,1)")
@@ -260,6 +268,8 @@ def deficiency_residual(
     r = np.asarray(radii, dtype=float)
     if np.any(r <= 0) or np.any(r >= 1):
         raise ValueError("radii must lie in (0,1)")
+    from scipy import special as _sp
+
     s = float(sign)
     t = float(operator_sign)
     i_n = _sp.iv(n, r)

@@ -1,21 +1,25 @@
 """Special-function kernels: psi and psi' in numpy, the partial-fraction sum
-pair_sum behind every witness closed form, the Bessel derivative J_n' and the
-positive Bessel zeros with sign-change brackets.
+pair_sum behind every witness closed form, J_0 and J_1 in numpy, the Bessel
+derivative J_n' and the positive Bessel zeros with sign-change brackets.
 
 psi and psi' shift the argument up to x >= PSI_SERIES_MIN by recurrence
 (DLMF 5.5.2) and sum the asymptotic series through B_14 (DLMF 5.11.2 and
 5.15.8), whose remainder is at most the first omitted term (DLMF 5.11(ii)),
 below 2.5e-20 there; float64 rounding is not controlled.
 
-J_n and I_n are called from scipy.special directly, which is imported only
-where a Bessel function is evaluated, so pair_sum loads no scipy.  Zero
-finding is done here, by one path for every order: the k-th zero of J_n is
-isolated by the band (pi(k - 1/4), pi(k - 1/8)) for n = 0 and by the zeros of
-J_{n-1} (interlacing, DLMF 10.21(i)) for n >= 1; a bracketed Newton iteration
-on the forward J_0/J_1 recurrence, vectorized over the ranks not yet cached,
-refines it, and it is stored with a bracket across which scipy's J_n changes
-sign inside that interval.  The sign check trusts scipy's J_n, which carries
-no error bound.
+bessel_j01 gives J_0 and J_1 from Hankel's expansion for x >= HANKEL_MIN
+and from Bessel's integral, summed by the trapezoidal rule, below it.  J_n
+for n >= 1 and I_n are called from scipy.special directly, which is imported
+only where one of them is evaluated, so pair_sum and the order-0 zeros load
+no scipy.  Zero finding is
+done here, by one path for every order: the k-th zero of J_n is isolated by
+the band (pi(k - 1/4), pi(k - 1/8)) for n = 0 and by the zeros of J_{n-1}
+(interlacing, DLMF 10.21(i)) for n >= 1; a bracketed Newton iteration on the
+forward recurrence from bessel_j01, vectorized over the ranks not yet cached,
+refines it, and it is stored with a bracket across which J_n changes sign
+inside that interval.  For n = 0 the sign check uses bessel_j01 and asks
+|J_0| >= J0_SIGN_MARGIN eps sqrt(2/(pi x)) at both ends, above its error
+bound; for n >= 1 it uses scipy's J_n, which carries no error bound.
 """
 
 from __future__ import annotations
@@ -26,6 +30,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 ZERO_BRACKET_WIDTH = 1e-10
+# bessel_j01 sums Hankel's expansion at arguments at least this large.
+HANKEL_MIN = 25.0
+# An order-0 bracket end counts only where |J_0| from bessel_j01 is at least
+# this many eps times sqrt(2/(pi x)), over 3 times its error bound (20).
+J0_SIGN_MARGIN = 64.0
 # psi and psi1 sum their asymptotic series at arguments at least this large.
 PSI_SERIES_MIN = 16.0
 # B_2, B_4, ..., B_14 (DLMF Table 24.2.1).
@@ -43,17 +52,21 @@ def _check_order(n: int) -> None:
 
 
 def _shift_up(x, power: int):
-    """(y, s): y = x + j for the least integer j >= 0 with y >= PSI_SERIES_MIN,
-    and s = sum_{i<j} (x + i)^-power, summed smallest term first."""
+    """(y, low, s): y = x + j for the least integer j >= 0 with y >= PSI_SERIES_MIN,
+    the mask low = j > 0, and s = sum_{i<j} (x + i)^-power at the entries
+    y[low], summed smallest term first (it is 0 at the others)."""
     x = np.asarray(x, dtype=float)
-    j = np.maximum(np.ceil(PSI_SERIES_MIN - x), 0.0)
-    s = np.zeros(x.shape)
-    low = j > 0  # only these are shifted
-    xl, jl, sl = x[low], j[low], s[low]
+    # y holds j until x is added at the end; every step writes in place.
+    y = np.subtract(PSI_SERIES_MIN, x, out=np.empty(x.shape))
+    np.ceil(y, out=y)
+    np.maximum(y, 0.0, out=y)
+    low = y > 0
+    xl, jl = x[low], y[low]
+    s = np.zeros(jl.shape)
     for i in reversed(range(int(jl.max(initial=0.0)))):
-        sl += np.where(i < jl, (xl + i) ** -power, 0.0)
-    s[low] = sl
-    return x + j, s
+        s += np.where(i < jl, (xl + i) ** -power, 0.0)
+    y += x
+    return y, low, s
 
 
 def psi(x):
@@ -63,12 +76,20 @@ def psi(x):
     remainder is at most the first omitted term |B_16|/(16 y^16) < 2.5e-20
     (DLMF 5.11(ii)).  Float64 rounding is not controlled: against mpmath on
     [1, 1e7] the error stays below 6 eps (1 + |psi(x)|) (4.5 measured)."""
-    y, s = _shift_up(x, 1)
-    w = 1.0 / (y * y)
-    series = 0.0
-    for k in reversed(range(len(_BERNOULLI))):
-        series = (series + _BERNOULLI[k] / (2 * k + 2)) * w
-    return np.log(y) - (0.5 / y + series) - s
+    y, low, s = _shift_up(x, 1)
+    w = np.multiply(y, y, out=np.empty(y.shape))
+    np.divide(1.0, w, out=w)
+    series = _BERNOULLI[-1] / (2 * len(_BERNOULLI)) * w
+    for k in reversed(range(len(_BERNOULLI) - 1)):
+        series += _BERNOULLI[k] / (2 * k + 2)
+        series *= w
+    # ln y - (1/(2y) + series) - s, reusing the buffers of w and y.
+    np.divide(0.5, y, out=w)
+    w += series
+    np.log(y, out=y)
+    y -= w
+    y[low] -= s
+    return y[()]
 
 
 def psi1(x):
@@ -79,12 +100,20 @@ def psi1(x):
     series is the derivative of the one in psi, and the bound of DLMF 5.11(ii)
     carries over.  Float64 rounding is not controlled: against mpmath on
     [1, 1e7] the error stays below 3 eps psi'(x) (1.97 measured)."""
-    y, s = _shift_up(x, 2)
-    w = 1.0 / (y * y)
-    series = 0.0
-    for b in reversed(_BERNOULLI):
-        series = (series + b) * w
-    return (1.0 + 0.5 / y + series) / y + s
+    y, low, s = _shift_up(x, 2)
+    w = np.multiply(y, y, out=np.empty(y.shape))
+    np.divide(1.0, w, out=w)
+    series = _BERNOULLI[-1] * w
+    for b in reversed(_BERNOULLI[:-1]):
+        series += b
+        series *= w
+    # (1 + 1/(2y) + series)/y + s, in the buffer of w.
+    np.divide(0.5, y, out=w)
+    w += 1.0
+    w += series
+    w /= y
+    w[low] += s
+    return w[()]
 
 
 def pair_sum(a: float, b, lo: int, hi: int | None = None) -> np.ndarray:
@@ -106,6 +135,83 @@ def pair_sum(a: float, b, lo: int, hi: int | None = None) -> np.ndarray:
     out[off] = (diff(psi, b[off]) - diff(psi, a)) / (a - b[off])
     out[~off] = -diff(psi1, a)
     return out
+
+
+def _hankel_coefficients(nu: int) -> tuple[list[float], list[float]]:
+    """(-1)^i a_{2i}(nu) and (-1)^i a_{2i+1}(nu) for i < 10: the terms of
+    Hankel's P and Q (DLMF 10.17.3) in 1/x^2, with a_k(nu) =
+    (4nu^2 - 1^2)(4nu^2 - 3^2)...(4nu^2 - (2k-1)^2)/(k! 8^k) (DLMF 10.17.1)
+    divided as integers, so each is correctly rounded."""
+    a, num, den = [], 1, 1
+    for k in range(20):
+        if k:
+            num *= 4 * nu * nu - (2 * k - 1) ** 2
+            den *= 8 * k
+        a.append((-1) ** (k // 2) * num / den)
+    return a[0::2], a[1::2]
+
+
+# Rows P_0, Q_0, P_1, Q_1 (Q without its factor 1/x), highest power first.
+_HANKEL = np.array([c for nu in (0, 1) for c in _hankel_coefficients(nu)])
+_HANKEL = _HANKEL.T[::-1, :, None]
+# The nodes and weights of the trapezoidal rule on 48 intervals of [0, pi].
+_THETA = np.linspace(0.0, math.pi, 49)
+_SIN_THETA = np.sin(_THETA)
+_TRAPEZOID = np.full(49, 1.0 / 48)
+_TRAPEZOID[[0, -1]] = 1.0 / 96
+
+
+def _hankel_j01(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # J_nu = sqrt(2/(pi x)) (P cos w - Q sin w), w = x - nu pi/2 - pi/4, with
+    # cos w and sin w written through cos x +- sin x: forming x - pi/4 would
+    # lose up to x eps of the phase.
+    w = 1.0 / (x * x)
+    acc = np.empty((4, x.size))
+    acc[:] = _HANKEL[0]
+    for c in _HANKEL[1:]:
+        acc *= w
+        acc += c
+    acc[1::2] /= x
+    p0, q0, p1, q1 = acc
+    cos, sin = np.cos(x), np.sin(x)
+    plus, minus = cos + sin, cos - sin
+    amp = 1.0 / np.sqrt(math.pi * x)
+    return (p0 * plus + q0 * minus) * amp, (q1 * plus - p1 * minus) * amp
+
+
+def _integral_j01(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # J_nu(x) = (1/pi) int_0^pi cos(nu t - x sin t) dt (DLMF 10.9.1).  Each
+    # row of u is summed on its own, so a value does not depend on the other
+    # arguments of the call.
+    u = np.multiply.outer(x, _SIN_THETA)
+    j0 = (np.cos(u) * _TRAPEZOID).sum(axis=1)
+    j1 = (np.cos(_THETA - u) * _TRAPEZOID).sum(axis=1)
+    return j0, j1
+
+
+def bessel_j01(x) -> tuple[np.ndarray, np.ndarray]:
+    """(J_0(x), J_1(x)) elementwise for x >= 0, in numpy.
+
+    For x >= HANKEL_MIN: Hankel's expansion (DLMF 10.17.3) with P and Q
+    through a_19; the remainder of each is at most its first omitted term
+    (DLMF 10.17(iii)), a_20/x^20 < 4.3e-18 and a_21/x^21 < 1.7e-18, so J errs
+    by less than 1e-17 sqrt(2/(pi x)) from them.  Below: Bessel's integral
+    (DLMF 10.9.1) by the trapezoidal rule on 48 intervals, exact up to
+    aliasing 2 sum_{m>=1} |J_{96m+-nu}(x)| < 1e-30 on a periodic integrand
+    (Trefethen and Weideman, SIAM Rev. 56, 2014).  Float64 rounding is not
+    controlled: against mpmath on [0.5, 2.7e5] the error stays below
+    20 eps sqrt(2/(pi x)) for x < HANKEL_MIN (17.2 measured, near 25) and
+    3 eps sqrt(2/(pi x)) above (2.4 measured)."""
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    if flat.min(initial=math.inf) >= HANKEL_MIN:
+        j0, j1 = _hankel_j01(flat)
+    else:
+        far = flat >= HANKEL_MIN
+        j0, j1 = np.empty(flat.shape), np.empty(flat.shape)
+        j0[far], j1[far] = _hankel_j01(flat[far])
+        j0[~far], j1[~far] = _integral_j01(flat[~far])
+    return j0.reshape(x.shape), j1.reshape(x.shape)
 
 
 def bessel_jprime(n: int, x):
@@ -168,8 +274,6 @@ def bessel_zeros(n: int, k_max: int, table: BesselZeroTable | None = None) -> np
     together, and each is stored only if J_n changes sign across [lo, hi],
     with hi - lo <= ZERO_BRACKET_WIDTH, inside (a, b); otherwise BracketError.
     """
-    from scipy import special as _sp
-
     _check_order(n)
     if not isinstance(k_max, (int, np.integer)) or k_max < 0:
         raise ValueError(f"k_max must be a nonnegative integer, got {k_max!r}")
@@ -196,7 +300,7 @@ def bessel_zeros(n: int, k_max: int, table: BesselZeroTable | None = None) -> np
             & (x < hi)
             & (hi < b - ZERO_BRACKET_WIDTH)
             & (hi - lo <= ZERO_BRACKET_WIDTH)
-            & (_sp.jv(n, lo) * _sp.jv(n, hi) < 0.0)
+            & _sign_change(n, lo, hi)
         )
         if not ok.all():
             k = int(ks[np.argmin(ok)])
@@ -205,16 +309,31 @@ def bessel_zeros(n: int, k_max: int, table: BesselZeroTable | None = None) -> np
     return rows[0, :k_max].copy()
 
 
-def _jv_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(J_{n-1}(x), J_n(x)) elementwise, by the forward recurrence
-    J_{m+1} = (2m/x) J_m - J_{m-1} (DLMF 10.6.1) from scipy's J_0 and J_1;
-    (-J_1, J_0) for n = 0.  Accurate for x > n: there every step m < n lies
-    in the oscillatory region m < x, where J_m and Y_m are of comparable size
-    and rounding errors are not amplified (Gautschi, SIAM Rev. 9, 1967).  For
-    x < m, J_m decays while Y_m grows, and so would the error."""
+def _sign_change(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """J_n(lo) J_n(hi) < 0, elementwise.  For n = 0 from bessel_j01, and only
+    where |J_0| at both ends is at least J0_SIGN_MARGIN eps sqrt(2/(pi x)),
+    above its error bound, so the signs are those of J_0; for n >= 1 from
+    scipy's J_n, which carries no error bound."""
+    if n == 0:
+        ends = np.stack((lo, hi))
+        j0 = bessel_j01(ends)[0]
+        eps = np.finfo(float).eps
+        floor = J0_SIGN_MARGIN * eps * np.sqrt(2.0 / (math.pi * ends))
+        return (j0[0] * j0[1] < 0.0) & np.all(np.abs(j0) >= floor, axis=0)
     from scipy import special as _sp
 
-    prev, cur = -_sp.j1(x), _sp.j0(x)
+    return _sp.jv(n, lo) * _sp.jv(n, hi) < 0.0
+
+
+def _jv_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(J_{n-1}(x), J_n(x)) elementwise, by the forward recurrence
+    J_{m+1} = (2m/x) J_m - J_{m-1} (DLMF 10.6.1) from bessel_j01's J_0 and
+    J_1; (-J_1, J_0) for n = 0.  Accurate for x > n: there every step m < n
+    lies in the oscillatory region m < x, where J_m and Y_m are of comparable
+    size and rounding errors are not amplified (Gautschi, SIAM Rev. 9, 1967).
+    For x < m, J_m decays while Y_m grows, and so would the error."""
+    j0, j1 = bessel_j01(x)
+    prev, cur = -j1, j0
     for m in range(n):
         prev, cur = cur, (2.0 * m / x) * cur - prev
     return prev, cur
@@ -226,11 +345,11 @@ def _newton_in_intervals(n: int, ks: np.ndarray, a: np.ndarray, b: np.ndarray) -
     left of its k-th zero, so every evaluation shrinks the bracket; a step
     that leaves it is replaced by bisection.  Converged ranks are dropped.
 
-    J_{n-1} and J_n come from the forward recurrence of _jv_pair, at about
-    1/57 of the cost of two scipy jv calls at n = 63; jv is left to the
-    sign-change check in bessel_zeros.  Its precondition x > n holds: every
-    iterate lies in its isolating interval, whose left end alpha_{n-1,1}
-    exceeds n for n >= 1."""
+    J_{n-1} and J_n come from the forward recurrence of _jv_pair on
+    bessel_j01; scipy's jv is left to the sign-change check of the orders
+    n >= 1 in bessel_zeros, so order 0 is found and checked without scipy.
+    Its precondition x > n holds: every iterate lies in its isolating
+    interval, whose left end alpha_{n-1,1} exceeds n for n >= 1."""
     left_sign = np.where(ks % 2 == 1, 1.0, -1.0)
     beta = (ks + 0.5 * n - 0.25) * math.pi
     x = beta - (4.0 * n * n - 1.0) / (8.0 * beta)

@@ -559,8 +559,8 @@ def test_threads_flag_leaves_one_os_thread(argv):
 def test_witness_term_limit_memory_claim():
     # The comment on analysis.MAX_WITNESS_TERMS: peak RSS of `interval --grid 1
     # --trunc-factor N` grows by under 100 bytes per term, so the limit needs
-    # under 3 GiB.  Measured at 1e6 and 4e6 terms: 90 bytes per term, and
-    # 2.84 GiB by linear extrapolation (2.56 GiB measured at the limit).
+    # under 3 GiB.  Measured at 1e6 and 4e6 terms: 66 bytes per term, and
+    # 2.1 GiB by linear extrapolation (2.09 GiB measured at the limit).
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     peak = {}
@@ -587,8 +587,9 @@ def test_python_dash_m_runs_the_cli():
 
 
 def test_subcommands_import_only_what_they_use():
-    # `index` loads no numpy and `interval` no scipy (its psi sums are numpy);
-    # `disc` loads scipy.special for the Bessel functions and nothing more.
+    # `index` loads no numpy, and `interval` and `disc` no scipy: their psi
+    # sums and the zeros of J_0 are numpy.  `sweep` loads scipy.special for
+    # the sign check of the zeros of J_n, n >= 1, and nothing more.
     probe = (
         "import os, sys; from noncompact import cli; "
         "code = cli.main(sys.argv[1:] + ['--out', os.devnull]); "
@@ -596,14 +597,16 @@ def test_subcommands_import_only_what_they_use():
         "('numpy', 'scipy', 'scipy.special', 'scipy.optimize', 'scipy.linalg')))"
     )
     loaded = {}
-    for command in ("index", "interval", "disc"):
-        run = _run_python("-c", probe, command)
+    for command in ("index", "interval", "disc", "sweep"):
+        argv = [command, "--sizes", "64,256"] if command == "sweep" else [command]
+        run = _run_python("-c", probe, *argv)
         assert run.returncode == 0, run.stderr
         loaded[command] = run.stdout.split()
     assert loaded == {
         "index": ["0", "False", "False", "False", "False", "False"],
         "interval": ["0", "True", "False", "False", "False", "False"],
-        "disc": ["0", "True", "True", "True", "False", "False"],
+        "disc": ["0", "True", "False", "False", "False", "False"],
+        "sweep": ["0", "True", "True", "True", "False", "False"],
     }
     analysis_import = _run_python(
         "-c", "import sys, noncompact.analysis; print('scipy' in sys.modules)"

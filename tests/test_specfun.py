@@ -1,7 +1,11 @@
 import ast
 import inspect
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -62,8 +66,9 @@ def bisect_series_zero(n: int, lo: float, hi: float) -> float:
 
 
 # --- psi and psi' against independent oracles ---------------------------------
-# specfun.pair_sum calls only specfun.psi and specfun.psi1; the models call
-# J_n and I_n from scipy.special directly.
+# specfun.pair_sum calls only specfun.psi and specfun.psi1; the zero search
+# takes J_0 and J_1 from specfun.bessel_j01, and the models call J_n and I_n
+# from scipy.special directly.
 
 
 def test_digamma_recurrence_step():
@@ -211,10 +216,11 @@ def test_every_closed_form_goes_through_pair_sum(monkeypatch):
     for call in calls:
         with pytest.raises(AssertionError, match="pair_sum was called"):
             call()
-    # No scipy import at module level in specfun, interval or analysis (specfun
-    # and analysis import it inside the functions that evaluate Bessel
-    # functions or a dense SVD), and none at all in interval.
-    for module in (specfun, interval, analysis):
+    # No scipy import at module level in specfun, interval, analysis or disc
+    # (specfun, analysis and disc import it inside the functions that
+    # evaluate J_n for n >= 1, I_n or a dense SVD), and none at all in
+    # interval.
+    for module in (specfun, interval, analysis, disc):
         tree = ast.parse(inspect.getsource(module))
         imported = [
             alias.name if isinstance(node, ast.Import) else node.module or ""
@@ -286,6 +292,98 @@ def test_bessel_i_recurrence_relative(n, x):
     rhs = (2.0 * n / x) * sp.iv(n, x)
     scale = max(1.0, abs(sp.iv(n - 1, x)))
     assert abs(lhs - rhs) / scale < 1e-10
+
+
+# --- J_0 and J_1 in numpy ------------------------------------------------------
+
+
+def test_bessel_j01_matches_mpmath():
+    # Oracle: mpmath's J_0 and J_1 at 40 digits, on 2000 log-uniform points
+    # in [0.5, 2.7e5] (the largest order-0 zero specfun can store is about
+    # 2.62e5), 200 points on each side of HANKEL_MIN, the two floats next to
+    # it, and both ends of the first 100 order-0 brackets.  The bounds are the
+    # docstring's: 20 eps sqrt(2/(pi x)) below HANKEL_MIN and 3 eps above.
+    cut = specfun.HANKEL_MIN
+    rng = np.random.default_rng(16)
+    table = specfun.BesselZeroTable()
+    specfun.bessel_zeros(0, 100, table)
+    _, lo, hi = table.rows[0]
+    x = np.concatenate(
+        [
+            np.exp(rng.uniform(math.log(0.5), math.log(2.7e5), 2000)),
+            rng.uniform(cut - 10.0, cut, 200),
+            rng.uniform(cut, cut + 10.0, 200),
+            [np.nextafter(cut, 0.0), cut],
+            lo,
+            hi,
+        ]
+    )
+    assert np.sum(x < cut) > 400 and np.sum(x >= cut) > 400
+    with mpmath.workdps(40):
+        want0 = np.array([float(mpmath.besselj(0, v)) for v in x])
+        want1 = np.array([float(mpmath.besselj(1, v)) for v in x])
+    j0, j1 = specfun.bessel_j01(x)
+    eps = np.finfo(float).eps
+    bound = np.where(x < cut, 20.0, 3.0) * eps * np.sqrt(2.0 / (math.pi * x))
+    assert np.all(np.abs(j0 - want0) <= bound)
+    assert np.all(np.abs(j1 - want1) <= bound)
+
+
+def test_bessel_j01_keeps_the_shape():
+    # Both paths, and their mix, in any array shape and for scalars; each
+    # value is the same bits whatever else is in the call.
+    x = np.array([[0.0, 3.0, 40.0], [24.0, 25.0, 1e5]])
+    j0, j1 = specfun.bessel_j01(x)
+    assert j0.shape == j1.shape == x.shape
+    assert j0[0, 0] == pytest.approx(1.0, abs=1e-15)
+    assert j1[0, 0] == pytest.approx(0.0, abs=1e-15)
+    for row in range(2):
+        for col in range(3):
+            single = specfun.bessel_j01(x[row, col])
+            assert single[0].shape == ()
+            assert single == (j0[row, col], j1[row, col])
+    assert specfun.bessel_j01(np.empty(0))[0].shape == (0,)
+
+
+def test_order_zero_brackets_pass_scipys_sign_check():
+    # The order-0 sign check uses bessel_j01, which the Newton search also
+    # uses, so the independent check is here: every order-0 bracket up to
+    # the last storable rank, 83 443, is also a sign change of scipy's J_0,
+    # and clears the margin of bessel_zeros by far (measured: |J_0| at least
+    # 2.2e-14 at the ends, 1024 times the margin).
+    table = specfun.BesselZeroTable()
+    specfun.bessel_zeros(0, 83443, table)
+    _, lo, hi = table.rows[0]
+    assert lo.size == 83443
+    assert np.all(sp.jv(0, lo) * sp.jv(0, hi) < 0)
+    ends = np.stack((lo, hi))
+    floor = specfun.J0_SIGN_MARGIN * np.finfo(float).eps * np.sqrt(2 / (np.pi * ends))
+    assert np.all(np.abs(specfun.bessel_j01(ends)[0]) >= 1000 * floor)
+    with pytest.raises(specfun.BracketError, match="zero 83444 of J_0"):
+        specfun.bessel_zeros(0, 83444, table)
+
+
+def test_order_zero_fill_loads_no_scipy():
+    # A fresh interpreter fills order 0 on a cold table without importing
+    # scipy; the first order n >= 1 imports it for its sign check.
+    probe = (
+        "import sys; from noncompact import specfun; "
+        "loaded = lambda: any(m.split('.')[0] == 'scipy' for m in sys.modules); "
+        "specfun.bessel_zeros(0, 600); before = loaded(); "
+        "specfun.bessel_zeros(1, 10); print(before, loaded())"
+    )
+    src = str(pathlib.Path(specfun.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["False", "True"]
 
 
 # --- Bessel zeros ------------------------------------------------------------
@@ -394,7 +492,8 @@ def test_zero_brackets_isolate_the_zero_mpmath(zeros_job_table, n, k):
 def test_jv_pair_matches_mpmath(n):
     # Oracle: mpmath's J_n.  The points cover (n, 2000] and straddle every
     # 16th of the first 512 zeros of J_n, where the Newton search evaluates.
-    # The largest error measured was 2.0e-15 (scipy's jv: 3.2e-14 at n = 64).
+    # The largest error measured was 5.0e-16 (2.0e-15 from scipy's j0 and j1;
+    # scipy's jv: 3.2e-14 at n = 64).
     zeros = sp.jn_zeros(n, 512)[::16]
     x = np.concatenate(
         [
@@ -413,8 +512,9 @@ def test_jv_pair_matches_mpmath(n):
 
 def test_zero_search_calls_jv_only_in_the_sign_check(monkeypatch):
     # On a cold table bessel_zeros(63, 512) refines 512 + 63 - n ranks of
-    # every order n <= 63, 34 784 zeros in all, and checks each with jv at
-    # both bracket ends; the Newton search uses the J_0/J_1 recurrence.
+    # every order n <= 63, 34 784 zeros in all.  The 34 209 of orders n >= 1
+    # are checked with jv at both bracket ends; the 575 of order 0 with
+    # bessel_j01, and the Newton search uses the recurrence from bessel_j01.
     points = []
     jv = sp.jv
 
@@ -424,7 +524,7 @@ def test_zero_search_calls_jv_only_in_the_sign_check(monkeypatch):
 
     monkeypatch.setattr(sp, "jv", counted)
     specfun.bessel_zeros(63, 512, specfun.BesselZeroTable())
-    assert sum(points) == 2 * 34784
+    assert sum(points) == 2 * 34209
 
 
 def test_zeros_independent_of_request_order():

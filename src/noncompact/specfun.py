@@ -204,13 +204,12 @@ def bessel_j01(x) -> tuple[np.ndarray, np.ndarray]:
     3 eps sqrt(2/(pi x)) above (2.4 measured)."""
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
-    if flat.min(initial=math.inf) >= HANKEL_MIN:
-        j0, j1 = _hankel_j01(flat)
-    else:
-        far = flat >= HANKEL_MIN
-        j0, j1 = np.empty(flat.shape), np.empty(flat.shape)
-        j0[far], j1[far] = _hankel_j01(flat[far])
-        j0[~far], j1[~far] = _integral_j01(flat[~far])
+    # Hankel's sum at every argument (those below HANKEL_MIN are summed at
+    # HANKEL_MIN), then Bessel's integral in place where x < HANKEL_MIN.
+    j0, j1 = _hankel_j01(np.maximum(flat, HANKEL_MIN))
+    near = np.flatnonzero(flat < HANKEL_MIN)
+    if near.size:
+        j0[near], j1[near] = _integral_j01(flat[near])
     return j0.reshape(x.shape), j1.reshape(x.shape)
 
 

@@ -7,6 +7,7 @@ import pathlib
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -154,11 +155,27 @@ def test_disc_singular_values_match_dense(dims):
     )
 
 
+def _cauchy_eigenvalues_40_digits(x):
+    # c copies of a node u act as one node of weight c: the eigenvalues are
+    # those of sqrt(c_i c_j) / (u_i + u_j) and len(x) - len(u) zeros, so
+    # repeated nodes do not grow the 40-digit matrix.
+    u, c = np.unique(x, return_counts=True)
+    with mpmath.workdps(40):
+        m = mpmath.matrix(
+            [[mpmath.sqrt(int(a * b)) / (mpmath.mpf(v) + w) for w, b in zip(u, c)]
+             for v, a in zip(u, c)]
+        )
+        e = [float(v) for v in mpmath.eigsy(m, eigvals_only=True)]
+    return np.sort(np.concatenate([e, np.zeros(len(x) - len(u))]))[::-1]
+
+
 @settings(max_examples=50, deadline=None)
 @given(x=st.lists(st.floats(0.1, 1e4), min_size=1, max_size=300))
 @example(x=[0.1] * 300)
 @example(x=[0.1, 0.1 + 1e-9, 7.0, 1e4])
 @example(x=[8.0] * 4)
+@example(x=[6.0] * 3)
+@example(x=[50.0])
 def test_cauchy_eigenvalues_match_dense(x):
     # Drawn nodes, unlike the interval's i + 1/2, form no arithmetic
     # progression and may repeat.  Both solvers err by a multiple of
@@ -172,17 +189,25 @@ def test_cauchy_eigenvalues_match_dense(x):
     assert np.all(np.diff(got) <= 0)
     atol = 1e-12 * max(1.0, dense[0])
     np.testing.assert_allclose(got, dense, rtol=0, atol=atol)
-    # Counts above a threshold must agree, except where an eigenvalue lies
-    # within atol of it: n equal nodes v give the single eigenvalue n / (2v),
-    # so [8.0] * 4 puts it exactly on 0.25, which the Cholesky path returns
-    # exactly and eigvalsh one ulp low.  There the count is only fixed to
-    # within the eigenvalues in the band [t - atol, t + atol).
+    # Counts above a threshold t must equal eigvalsh's, unless an eigenvalue
+    # lies within atol of t.  n equal nodes v give the single eigenvalue
+    # n / (2v), which sits on t for [8.0] * 4, [6.0] * 3 (0.25) and [50.0]
+    # (1/100, against the float 0.01); both solvers then land a few ulps to
+    # either side ([50.0]: eigvalsh on 0.01, Cholesky one ulp below).  There
+    # the oracle is a 40-digit spectrum: eigenvalues within atol of t must
+    # match it to tie = 64 eps max(1, ||C||) (the Cholesky path errs by at
+    # most 10 ulps on every equal-node tie up to 300 nodes), and the count
+    # may differ from the exact one only by eigenvalues within tie of t.
+    tie = 64 * np.finfo(float).eps * max(1.0, dense[0])
     for t in analysis.SWEEP_THRESHOLDS:
-        if np.any(np.abs(dense - t) <= atol):
-            count = np.sum(got >= t)
-            assert np.sum(dense >= t + atol) <= count <= np.sum(dense >= t - atol)
-        else:
-            assert np.sum(got >= t) == np.sum(dense >= t)
+        count = np.sum(got >= t)
+        if not np.any(np.abs(dense - t) <= atol):
+            assert count == np.sum(dense >= t)
+            continue
+        exact = _cauchy_eigenvalues_40_digits(x)
+        near = np.abs(exact - t) <= atol
+        np.testing.assert_allclose(got[near], exact[near], rtol=0, atol=tie)
+        assert np.sum(exact >= t + tie) <= count <= np.sum(exact > t - tie)
 
 
 def test_cauchy_eigenvalues_validation():

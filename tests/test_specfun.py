@@ -330,8 +330,9 @@ def test_bessel_j01_matches_mpmath():
 
 
 def test_bessel_j01_keeps_the_shape():
-    # Both paths, and their mix, in any array shape and for scalars; each
-    # value is the same bits whatever else is in the call.
+    # Arguments on both sides of HANKEL_MIN, alone and mixed, in any array
+    # shape and for scalars; each value is the same bits whatever else is in
+    # the call.
     x = np.array([[0.0, 3.0, 40.0], [24.0, 25.0, 1e5]])
     j0, j1 = specfun.bessel_j01(x)
     assert j0.shape == j1.shape == x.shape

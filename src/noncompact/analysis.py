@@ -29,9 +29,10 @@ XI_NORM_CAP = 1.01
 # and 2141 MiB at this limit: 66 bytes per term), so this many terms need
 # under 3 GiB.
 MAX_WITNESS_TERMS = 1 << 25
-# Peak RSS of `noncompact sweep` grows like size^{3/2}, with the disc's
-# (n_max - 1) x k_max x k_max stack of (1,1) blocks: 124 MB at size 2^17 and
-# 245 MB at 2^18 (one BLAS thread), so by that law this size needs 1.6 GB.
+# A limit of time, not memory: the disc spectrum takes one SVD per (1,1)
+# block, so its peak RSS stays flat (37 MiB at size 2^18, 44 MiB at 2^19, one
+# BLAS thread) while its time grows about like size^2 (3.8 s and 14.4 s), to
+# about a minute at this size.
 MAX_SWEEP_SIZE = 1 << 20
 
 
@@ -101,7 +102,8 @@ class Model:
 
 def _disc():
     # Imported on first use, so the interval model never loads the disc
-    # model; disc imports scipy.special only for J_n (n >= 1) and I_n.
+    # model; disc imports scipy.special only for the mode normalization and
+    # the residual checks, so the sweep loads no scipy.
     from . import disc
 
     return disc

@@ -119,8 +119,7 @@ def main(argv: list[str] | None = None) -> int:
 
     warnings: list[str] = []
     # Each subcommand imports only what it uses: `index` needs no numpy, and
-    # `interval` and `disc` no scipy.  `sweep` imports scipy.special at the
-    # first zero of J_n, n >= 1, for its sign check.
+    # `interval`, `disc` and `sweep` no scipy.
     if args.command == "index":
         from . import aps
 

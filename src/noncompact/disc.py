@@ -7,8 +7,9 @@ Modes are labeled (branch, n, k, sign) with eigenvalue sign * alpha_{n-1,k},
 alpha_{n,k} the k-th positive zero of J_n.  Mode enumeration is lexicographic
 in (branch, n, k) within each sign, so assembled matrices are reproducible.
 scipy.special is imported only inside the functions that evaluate J_n for
-n >= 1 or I_n (the mode normalization and the residual checks), so the
-spectra and the witness sums load no scipy.
+n >= 1 or I_n (the mode normalization and the residual checks); the zeros
+come from specfun in numpy, so the spectra and the witness sums load no
+scipy.
 """
 
 from __future__ import annotations
@@ -142,12 +143,12 @@ def disc_singular_values(n_max: int, k_max: int) -> np.ndarray:
     for the k_max rows that meet no block.  The (1,2) block is the Cauchy
     matrix on the nodes alpha_{0,k}; each (2,2) block is -(1,1)^T."""
     alphas = _zeros_by_order(n_max, k_max)
-    interior = np.empty((n_max - 1, k_max, k_max))
-    for m in range(1, n_max):
-        interior[m - 1] = _interior(alphas, m)
-    spectra = np.linalg.svd(interior, compute_uv=False).ravel()
+    # One block at a time, so memory stays O(k_max^2) beyond the zeros.
+    spectra = [
+        np.linalg.svd(_interior(alphas, m), compute_uv=False) for m in range(1, n_max)
+    ]
     cauchy = cauchy_eigenvalues(alphas[0])
-    return -np.sort(-np.concatenate([cauchy, spectra, spectra, np.zeros(k_max)]))
+    return -np.sort(-np.concatenate([cauchy, *spectra, *spectra, np.zeros(k_max)]))
 
 
 # The witness with coefficients sqrt(n)/(n+ell) on |2,1,ell,->, ell = 1..L,

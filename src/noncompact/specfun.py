@@ -8,18 +8,17 @@ psi and psi' shift the argument up to x >= PSI_SERIES_MIN by recurrence
 below 2.5e-20 there; float64 rounding is not controlled.
 
 bessel_j01 gives J_0 and J_1 from Hankel's expansion for x >= HANKEL_MIN
-and from Bessel's integral, summed by the trapezoidal rule, below it.  J_n
-for n >= 1 and I_n are called from scipy.special directly, which is imported
-only where one of them is evaluated, so pair_sum and the order-0 zeros load
-no scipy.  Zero finding is
-done here, by one path for every order: the k-th zero of J_n is isolated by
-the band (pi(k - 1/4), pi(k - 1/8)) for n = 0 and by the zeros of J_{n-1}
-(interlacing, DLMF 10.21(i)) for n >= 1; a bracketed Newton iteration on the
-forward recurrence from bessel_j01, vectorized over the ranks not yet cached,
-refines it, and it is stored with a bracket across which J_n changes sign
-inside that interval.  For n = 0 the sign check uses bessel_j01 and asks
-|J_0| >= J0_SIGN_MARGIN eps sqrt(2/(pi x)) at both ends, above its error
-bound; for n >= 1 it uses scipy's J_n, which carries no error bound.
+and from Bessel's integral, summed by the trapezoidal rule, below it; J_n
+for n >= 2 follows by forward recurrence.  scipy is imported only by
+bessel_jprime, so pair_sum and the Bessel zeros load no scipy.  Zero
+finding is done here, by one path for every order: the k-th zero of J_n is
+isolated by the band (pi(k - 1/4), pi(k - 1/8)) for n = 0 and by the zeros
+of J_{n-1} (interlacing, DLMF 10.21(i)) for n >= 1; a bracketed Newton
+iteration on the forward recurrence from bessel_j01, vectorized over the
+ranks not yet cached, refines it, and it is stored with a bracket across
+which J_n changes sign inside that interval.  The sign check takes J_n from
+the same recurrence and asks |J_n| >= J_SIGN_MARGIN sqrt(n + 1) eps
+sqrt(2/(pi x)) at both ends, over 3 times its error bound.
 """
 
 from __future__ import annotations
@@ -32,9 +31,10 @@ import numpy as np
 ZERO_BRACKET_WIDTH = 1e-10
 # bessel_j01 sums Hankel's expansion at arguments at least this large.
 HANKEL_MIN = 25.0
-# An order-0 bracket end counts only where |J_0| from bessel_j01 is at least
-# this many eps times sqrt(2/(pi x)), over 3 times its error bound (20).
-J0_SIGN_MARGIN = 64.0
+# A bracket end of J_n counts only where |J_n| from _jv_pair is at least this
+# many sqrt(n + 1) eps sqrt(2/(pi x)): over 3 times _jv_pair's error bound,
+# 20 in the same unit, measured against mpmath (see its docstring).
+J_SIGN_MARGIN = 64.0
 # psi and psi1 sum their asymptotic series at arguments at least this large.
 PSI_SERIES_MIN = 16.0
 # B_2, B_4, ..., B_14 (DLMF Table 24.2.1).
@@ -216,8 +216,7 @@ def bessel_j01(x) -> tuple[np.ndarray, np.ndarray]:
 def bessel_jprime(n: int, x):
     """Derivative J_n'(x) = (J_{n-1}(x) - J_{n+1}(x))/2, n >= 0, elementwise
     over arrays (J_{-1} = -J_1 covers n = 0)."""
-    # scipy is imported where a Bessel function is evaluated: pair_sum and
-    # the interval model never need it.
+    # The one scipy import of this module: the zeros and pair_sum need none.
     from scipy import special as _sp
 
     _check_order(n)
@@ -309,19 +308,15 @@ def bessel_zeros(n: int, k_max: int, table: BesselZeroTable | None = None) -> np
 
 
 def _sign_change(n: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """J_n(lo) J_n(hi) < 0, elementwise.  For n = 0 from bessel_j01, and only
-    where |J_0| at both ends is at least J0_SIGN_MARGIN eps sqrt(2/(pi x)),
-    above its error bound, so the signs are those of J_0; for n >= 1 from
-    scipy's J_n, which carries no error bound."""
-    if n == 0:
-        ends = np.stack((lo, hi))
-        j0 = bessel_j01(ends)[0]
-        eps = np.finfo(float).eps
-        floor = J0_SIGN_MARGIN * eps * np.sqrt(2.0 / (math.pi * ends))
-        return (j0[0] * j0[1] < 0.0) & np.all(np.abs(j0) >= floor, axis=0)
-    from scipy import special as _sp
-
-    return _sp.jv(n, lo) * _sp.jv(n, hi) < 0.0
+    """J_n(lo) J_n(hi) < 0, elementwise, with J_n from _jv_pair, and only
+    where |J_n| at both ends is at least J_SIGN_MARGIN sqrt(n + 1) eps
+    sqrt(2/(pi x)), over 3 times its error bound, so the signs are those of
+    J_n."""
+    ends = np.stack((lo, hi))
+    j = _jv_pair(n, ends)[1]
+    eps = np.finfo(float).eps
+    floor = J_SIGN_MARGIN * math.sqrt(n + 1) * eps * np.sqrt(2.0 / (math.pi * ends))
+    return (j[0] * j[1] < 0.0) & np.all(np.abs(j) >= floor, axis=0)
 
 
 def _jv_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -330,7 +325,11 @@ def _jv_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     J_1; (-J_1, J_0) for n = 0.  Accurate for x > n: there every step m < n
     lies in the oscillatory region m < x, where J_m and Y_m are of comparable
     size and rounding errors are not amplified (Gautschi, SIAM Rev. 9, 1967).
-    For x < m, J_m decays while Y_m grows, and so would the error."""
+    For x < m, J_m decays while Y_m grows, and so would the error.  Float64
+    rounding is not controlled: against mpmath for x > n, n <= 361 (the
+    highest order a sweep asks for), J_n errs by less than 20 sqrt(n + 1) eps
+    sqrt(2/(pi x)), bessel_j01's bound at n = 0 (measured: 8.2 sqrt(n + 1) at
+    n = 1, at most 3.1 sqrt(n + 1) for n >= 20)."""
     j0, j1 = bessel_j01(x)
     prev, cur = -j1, j0
     for m in range(n):
@@ -345,9 +344,8 @@ def _newton_in_intervals(n: int, ks: np.ndarray, a: np.ndarray, b: np.ndarray) -
     that leaves it is replaced by bisection.  Converged ranks are dropped.
 
     J_{n-1} and J_n come from the forward recurrence of _jv_pair on
-    bessel_j01; scipy's jv is left to the sign-change check of the orders
-    n >= 1 in bessel_zeros, so order 0 is found and checked without scipy.
-    Its precondition x > n holds: every iterate lies in its isolating
+    bessel_j01, as in the sign check of bessel_zeros, so no order needs
+    scipy.  Its precondition x > n holds: every iterate lies in its isolating
     interval, whose left end alpha_{n-1,1} exceeds n for n >= 1."""
     left_sign = np.where(ks % 2 == 1, 1.0, -1.0)
     beta = (ks + 0.5 * n - 0.25) * math.pi

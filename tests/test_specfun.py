@@ -67,8 +67,8 @@ def bisect_series_zero(n: int, lo: float, hi: float) -> float:
 
 # --- psi and psi' against independent oracles ---------------------------------
 # specfun.pair_sum calls only specfun.psi and specfun.psi1; the zero search
-# takes J_0 and J_1 from specfun.bessel_j01, and the models call J_n and I_n
-# from scipy.special directly.
+# and its sign check take J_n from the recurrence on specfun.bessel_j01, and
+# the models call J_n and I_n from scipy.special directly.
 
 
 def test_digamma_recurrence_step():
@@ -358,20 +358,21 @@ def test_order_zero_brackets_pass_scipys_sign_check():
     assert lo.size == 83443
     assert np.all(sp.jv(0, lo) * sp.jv(0, hi) < 0)
     ends = np.stack((lo, hi))
-    floor = specfun.J0_SIGN_MARGIN * np.finfo(float).eps * np.sqrt(2 / (np.pi * ends))
+    floor = specfun.J_SIGN_MARGIN * np.finfo(float).eps * np.sqrt(2 / (np.pi * ends))
     assert np.all(np.abs(specfun.bessel_j01(ends)[0]) >= 1000 * floor)
     with pytest.raises(specfun.BracketError, match="zero 83444 of J_0"):
         specfun.bessel_zeros(0, 83444, table)
 
 
 def test_order_zero_fill_loads_no_scipy():
-    # A fresh interpreter fills order 0 on a cold table without importing
-    # scipy; the first order n >= 1 imports it for its sign check.
+    # A fresh interpreter fills every order up to 63 on a cold table, sign
+    # checks included, and groups the disc eigenvalues over the same range,
+    # as the benchmark's zeros job does, without importing scipy.
     probe = (
-        "import sys; from noncompact import specfun; "
+        "import sys; from noncompact import disc, specfun; "
         "loaded = lambda: any(m.split('.')[0] == 'scipy' for m in sys.modules); "
-        "specfun.bessel_zeros(0, 600); before = loaded(); "
-        "specfun.bessel_zeros(1, 10); print(before, loaded())"
+        "specfun.bessel_zeros(63, 512); filled = loaded(); "
+        "disc.eigenvalue_multiplicities(64, 512); print(filled, loaded())"
     )
     src = str(pathlib.Path(specfun.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -384,7 +385,68 @@ def test_order_zero_fill_loads_no_scipy():
         timeout=120,
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split() == ["False", "True"]
+    assert run.stdout.split() == ["False", "False"]
+
+
+def test_zero_brackets_pass_scipys_sign_check():
+    # The sign check uses _jv_pair, which the Newton search also uses, so the
+    # independent check is here: all 34 784 brackets that bessel_zeros(63,
+    # 512) stores on a cold table are also sign changes of scipy's J_n, and
+    # clear the floor of the sign check by far (measured: 297 times at
+    # n = 63, the least).
+    table = specfun.BesselZeroTable()
+    specfun.bessel_zeros(63, 512, table)
+    eps = np.finfo(float).eps
+    count = 0
+    for n, (_, lo, hi) in table.rows.items():
+        assert lo.size == 512 + 63 - n
+        count += lo.size
+        assert np.all(sp.jv(n, lo) * sp.jv(n, hi) < 0)
+        ends = np.stack((lo, hi))
+        unit = math.sqrt(n + 1) * eps * np.sqrt(2 / (np.pi * ends))
+        floor = specfun.J_SIGN_MARGIN * unit
+        assert np.all(np.abs(specfun._jv_pair(n, ends)[1]) >= 200 * floor)
+    assert count == 34784
+
+
+def test_jv_pair_error_bound():
+    # Oracle: mpmath's J_n at 40 digits.  The bound is _jv_pair's docstring's,
+    # 20 sqrt(n + 1) eps sqrt(2/(pi x)) for x > n, which J_SIGN_MARGIN must
+    # exceed 3 times.  Points: the first three brackets of every order
+    # 1..63 and four more ends drawn at random, the first eight brackets of
+    # orders 100 and 150, and grids in (n, n + 60], where the recurrence
+    # crosses the turning point x = n, up to 361, the highest order of a
+    # sweep (measured: at most 8.2 sqrt(n + 1) at n = 1, 3.1 for n >= 20).
+    bound = 20.0
+    assert specfun.J_SIGN_MARGIN >= 3 * bound
+    rng = np.random.default_rng(17)
+    table = specfun.BesselZeroTable()
+    specfun.bessel_zeros(63, 512, table)
+    specfun.bessel_zeros(150, 8, table)
+    points = []
+    for n in range(1, 64):
+        ends = table.rows[n][1:].ravel()
+        first = table.rows[n][1:, :3].ravel()
+        points.append((n, np.concatenate([first, rng.choice(ends, 4)])))
+    for n in (100, 150):
+        points.append((n, table.rows[n][1:, :8].ravel()))
+    for n in (1, 2, 5, 10, 63, 100, 150, 361):
+        points.append((n, n + np.linspace(0.0, 60.0, 121)[1:]))
+    eps = np.finfo(float).eps
+    for n, x in points:
+        with mpmath.workdps(40):
+            want = np.array([float(mpmath.besselj(n, v)) for v in x])
+        err = np.abs(specfun._jv_pair(n, x)[1] - want)
+        unit = math.sqrt(n + 1) * eps * np.sqrt(2 / (np.pi * x))
+        assert np.all(err <= bound * unit), n
+
+
+def test_sign_check_margin_is_live(monkeypatch):
+    # A margin no bracket end can clear makes the fill fail, so the floor is
+    # applied, not only computed.
+    monkeypatch.setattr(specfun, "J_SIGN_MARGIN", 1e12)
+    with pytest.raises(specfun.BracketError):
+        specfun.bessel_zeros(5, 10, specfun.BesselZeroTable())
 
 
 # --- Bessel zeros ------------------------------------------------------------
@@ -513,9 +575,9 @@ def test_jv_pair_matches_mpmath(n):
 
 def test_zero_search_calls_jv_only_in_the_sign_check(monkeypatch):
     # On a cold table bessel_zeros(63, 512) refines 512 + 63 - n ranks of
-    # every order n <= 63, 34 784 zeros in all.  The 34 209 of orders n >= 1
-    # are checked with jv at both bracket ends; the 575 of order 0 with
-    # bessel_j01, and the Newton search uses the recurrence from bessel_j01.
+    # every order n <= 63, 34 784 zeros in all.  The Newton search and the
+    # sign check both take J_n from the recurrence on bessel_j01, so scipy's
+    # jv is never called.
     points = []
     jv = sp.jv
 
@@ -525,7 +587,7 @@ def test_zero_search_calls_jv_only_in_the_sign_check(monkeypatch):
 
     monkeypatch.setattr(sp, "jv", counted)
     specfun.bessel_zeros(63, 512, specfun.BesselZeroTable())
-    assert sum(points) == 2 * 34209
+    assert sum(points) == 0
 
 
 def test_zeros_independent_of_request_order():

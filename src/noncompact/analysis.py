@@ -193,7 +193,9 @@ def compression_sweep(model: str, sizes: tuple[int, ...]) -> SweepProfile:
         raise ValueError(f"sizes must lie in [1, {MAX_SWEEP_SIZE}]")
     if len(set(map(spec.sweep_dims, sizes))) < len(sizes):
         raise ValueError(f"sizes must map to distinct {model} dimensions")
-    spectra = [spec.sweep_spectrum(size) for size in sizes]
+    # Largest size first, so the disc sweep fills each order's Bessel zeros
+    # in one batch (see disc._zeros_by_order).
+    spectra = [spec.sweep_spectrum(size) for size in reversed(sizes)][::-1]
     return SweepProfile(
         model=model,
         sizes=[len(sv) for sv in spectra],

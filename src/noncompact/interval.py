@@ -20,10 +20,6 @@ TWO_PI = 2.0 * math.pi
 
 # Refuse to allocate matrices beyond this many entries (reported, not crashed).
 MAX_MATRIX_ENTRIES = 200_000_000
-# The pivoted Cholesky factorization of a Cauchy matrix stops once the mean
-# of its residual diagonal falls below this.  Rounding leaves about 4e-19 per
-# entry on the Hilbert nodes, so a bound on the trace alone would stall as n grows.
-CAUCHY_RESIDUAL_TOL = 1e-17
 
 
 class CompressionSizeError(ValueError):
@@ -80,28 +76,44 @@ def assemble_interval_compression(n_pos: int, n_neg: int) -> IntervalCompression
 def cauchy_eigenvalues(x: np.ndarray) -> np.ndarray:
     """All n eigenvalues, descending, of the Cauchy matrix C_ij = 1/(x_i + x_j)
     on n positive nodes, without assembling it.  C is positive semidefinite
-    with numerical rank O(log(max x / min x) log 1/eps).  A diagonally pivoted
-    Cholesky factorization C ~ L L^T, its columns generated on demand, stops
-    once the trace of the residual C - L L^T (positive semidefinite, with the
-    residual diagonal as its diagonal) drops below n * CAUCHY_RESIDUAL_TOL.
-    By Weyl's inequality each eigenvalue of L^T L is then within that trace
-    of the matching one of C, in exact arithmetic; the remaining n - rank
-    values are returned as zeros."""
+    with numerical rank O(log(max x / min x) log 1/eps) (Beckermann and
+    Townsend, SIAM J. Matrix Anal. Appl. 38, 2017).
+
+    A diagonally pivoted Cholesky factorization C ~ L L^T runs on the
+    displacement generator of C: a Cauchy matrix has displacement rank one,
+    so every Schur complement is again g_i g_j / (x_i + x_j), and eliminating
+    the pivot p updates g <- g (x - x_p) / (x + x_p) in O(n) (Gohberg, Kailath
+    and Olshevsky, Math. Comp. 64, 1995).  Each entry of g, and so of the
+    residual diagonal d = g^2 / (2x), carries only a small relative rounding
+    error (Demmel, SIAM J. Matrix Anal. Appl. 21, 1999); d is exactly zero at
+    every eliminated node and never negative.  The factorization stops once
+    the residual trace sum(d) is at most eps * tr(C): by Weyl's inequality
+    each eigenvalue of L^T L is then within eps * tr(C) of the matching one
+    of C, in exact arithmetic; the remaining n - rank values are returned as
+    zeros."""
     x = np.asarray(x, dtype=float)
     n = x.size
-    if x.ndim != 1 or n < 1 or not np.all(x > 0):
-        raise ValueError("x must be a nonempty vector of positive nodes")
-    residual = 1.0 / (x + x)  # diagonal of C - L L^T
+    if x.ndim != 1 or n < 1 or not np.all((x > 0) & np.isfinite(x)):
+        raise ValueError("x must be a nonempty vector of finite positive nodes")
+    two_x = x + x
+    d = 1.0 / two_x  # diagonal of the residual C - L L^T
+    stop = np.finfo(float).eps * d.sum()
+    g = np.ones(n)
+    s = np.empty(n)
+    t = np.empty(n)
     factor = np.empty((min(n, 64), n))  # rows are the columns of L
     rank = 0
-    while rank < n and residual.sum() >= n * CAUCHY_RESIDUAL_TOL:
+    while d.sum() > stop:
         if rank == factor.shape[0]:
             factor = np.concatenate([factor, np.empty_like(factor)])[:n]
-        p = int(np.argmax(residual))
-        col = 1.0 / (x + x[p]) - factor[:rank, p] @ factor[:rank]
-        factor[rank] = col / math.sqrt(residual[p])
-        # Rounding drives the residual slightly negative once it is resolved.
-        np.maximum(residual - factor[rank] ** 2, 0.0, out=residual)
+        p = int(np.argmax(d))
+        np.add(x, x[p], out=s)
+        np.divide(g, s, out=factor[rank])
+        factor[rank] *= g[p] / math.sqrt(d[p])
+        g *= np.subtract(x, x[p], out=t)
+        g /= s
+        np.multiply(g, g, out=d)
+        d /= two_x
         rank += 1
     low = factor[:rank]
     eig = np.zeros(n)

@@ -112,13 +112,36 @@ def test_interval_sweep_beyond_dense_size():
     assert analysis.nesting_monotone(profile)
 
 
+def test_disc_sweep_fills_the_zeros_once(monkeypatch):
+    # Largest size first: one descending fill of the Bessel-zero table, 22
+    # Newton batches where ascending sizes take 40, with the same spectra.
+    sizes = (64, 256, 1024, 4096)
+    alone = []
+    for size in sizes:
+        monkeypatch.setattr(specfun, "_DEFAULT_TABLE", specfun.BesselZeroTable())
+        alone.append(analysis.MODELS["disc"].sweep_spectrum(size))
+    monkeypatch.setattr(specfun, "_DEFAULT_TABLE", specfun.BesselZeroTable())
+    newton = specfun._newton_in_intervals
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0])
+        return newton(*args)
+
+    monkeypatch.setattr(specfun, "_newton_in_intervals", counting)
+    profile = analysis.compression_sweep("disc", sizes)
+    assert len(calls) == 22
+    for got, want in zip(profile.singular_values, alone, strict=True):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_sweep_spectra_keep_clear_of_the_thresholds():
     # The sweep counts compare each singular value with SWEEP_THRESHOLDS.  A
     # value within a few ulps of a threshold would make its count depend on
-    # the rounding of the solver (cauchy_eigenvalues can err by 10 ulps at
-    # such ties), so the pinned counts hold only while every value of the
-    # pinned sizes keeps clear of them; the smallest gap is 2.15e-3 relative,
-    # on the disc at 4096.
+    # the rounding of the solver (cauchy_eigenvalues errs by up to 9.8 ulps
+    # at equal-node ties), so the pinned counts hold only while every value
+    # of the pinned sizes keeps clear of them; the smallest gap is 2.15e-3
+    # relative, on the disc at 4096.
     gaps = []
     for model in analysis.MODELS.values():
         for size in (64, 256, 1024, 4096):
@@ -196,8 +219,8 @@ def test_cauchy_eigenvalues_match_dense(x):
     # Drawn nodes, unlike the interval's i + 1/2, form no arithmetic
     # progression and may repeat.  Both solvers err by a multiple of
     # eps * ||C||, and ||C|| reaches 300 / (2 * 0.1) here: nodes clustered
-    # at 0.1 with n near 300 gave Cholesky errors up to 6.7e-11 at
-    # ||C|| = 1363, so the tolerance is 1e-12 relative to max(1, ||C||).
+    # at 0.1 with n near 300 gave Cholesky errors up to 5.9e-12 at
+    # ||C|| = 1425, so the tolerance is 1e-12 relative to max(1, ||C||).
     x = np.array(x)
     got = interval.cauchy_eigenvalues(x)
     dense = np.linalg.eigvalsh(1.0 / (x[:, None] + x))[::-1]
@@ -209,11 +232,13 @@ def test_cauchy_eigenvalues_match_dense(x):
     # lies within atol of t.  n equal nodes v give the single eigenvalue
     # n / (2v), which sits on t for [8.0] * 4, [6.0] * 3 (0.25) and [50.0]
     # (1/100, against the float 0.01); both solvers then land a few ulps to
-    # either side ([50.0]: eigvalsh on 0.01, Cholesky one ulp below).  There
+    # either side ([50.0]: eigvalsh on 0.01, Cholesky one ulp above).  There
     # the oracle is a 40-digit spectrum: eigenvalues within atol of t must
-    # match it to tie = 64 eps max(1, ||C||) (the Cholesky path errs by at
-    # most 10 ulps on every equal-node tie up to 300 nodes), and the count
-    # may differ from the exact one only by eigenvalues within tie of t.
+    # match it to tie = 64 eps max(1, ||C||) (against exact rationals the
+    # Cholesky path errs by at most 9.8 ulps, 1.25 eps max(1, ||C||), on the
+    # 3300 equal-node ties: n <= 300 nodes at v = n / (2t) <= 1e4 and at its
+    # two float neighbours, for each t), and the count may differ from the
+    # exact one only by eigenvalues within tie of t.
     tie = 64 * np.finfo(float).eps * max(1.0, dense[0])
     for t in analysis.SWEEP_THRESHOLDS:
         count = np.sum(got >= t)
@@ -226,8 +251,44 @@ def test_cauchy_eigenvalues_match_dense(x):
         assert np.sum(exact >= t + tie) <= count <= np.sum(exact > t - tie)
 
 
+@pytest.mark.parametrize(
+    "x, max_rank",
+    [
+        # An absolute stop constant ran these to rank 175 and 154.
+        (np.geomspace(0.1, 1e4, 300), 64),
+        (0.1 + np.arange(300) * 1e-9, 4),
+    ],
+    ids=["log-uniform", "clustered"],
+)
+def test_cauchy_eigenvalues_stop_relative_to_the_trace(x, max_rank):
+    eig = interval.cauchy_eigenvalues(x)
+    assert np.count_nonzero(eig) <= max_rank
+    # The dropped residual trace is at most eps * tr(C) (Weyl).
+    dense = np.linalg.eigvalsh(1.0 / (x[:, None] + x))[::-1]
+    np.testing.assert_allclose(eig, dense, rtol=0, atol=1e-12 * dense[0])
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        np.arange(64) + 0.5,
+        specfun.bessel_zeros(0, 64, specfun.BesselZeroTable()),
+        np.geomspace(0.1, 1e4, 60),
+        0.1 + np.arange(40) * 1e-9,
+    ],
+    ids=["hilbert", "alpha0k", "log-uniform", "clustered"],
+)
+def test_cauchy_eigenvalues_match_40_digits(x):
+    # Measured: at most 1.9 eps ||C|| on these sets.  A column update that
+    # subtracts every earlier factor row errs by 14.2 eps ||C|| on the
+    # clustered one.
+    exact = _cauchy_eigenvalues_40_digits(x)
+    err = np.max(np.abs(interval.cauchy_eigenvalues(x) - exact))
+    assert err <= 8 * np.finfo(float).eps * exact[0]
+
+
 def test_cauchy_eigenvalues_validation():
-    for x in ([], [1.0, 0.0], [[1.0]]):
+    for x in ([], [1.0, 0.0], [1.0, np.inf], [[1.0]]):
         with pytest.raises(ValueError, match="positive nodes"):
             interval.cauchy_eigenvalues(np.array(x))
 

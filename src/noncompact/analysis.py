@@ -2,7 +2,7 @@
 compressions, the three-premise witness protocol, and report serialization.
 What each of these takes from a model is one entry of MODELS.
 
-The witness verdict is 'pass' iff on the requested grid the witness vectors
+The witness verdict is 'pass' iff on the requested grid the witness norms
 stay bounded, the image-norm lower bounds clear the model's bound,
 and (for grids with at least two points) the pairings decrease strictly with
 the final value below the decay threshold.
@@ -25,9 +25,9 @@ NESTING_TOL = 1e-10
 INTERVAL_BOUND = 1.0 / (4.0 * math.pi**2)
 XI_NORM_CAP = 1.01
 # Peak RSS of `noncompact interval --grid 1 --trunc-factor N` grows by under
-# 100 bytes per term (92 MiB at N = 1e6, 281 MiB at 4e6, 1037 MiB at 1.6e7
-# and 2141 MiB at this limit: 66 bytes per term), so this many terms need
-# under 3 GiB.
+# 100 bytes per term (85 MiB at N = 1e6, 251 MiB at 4e6 and 914 MiB at 1.6e7:
+# 58 bytes per term, set by the truncated image sum; 1.84 GiB at this limit
+# by linear extrapolation), so this many terms need under 3 GiB.
 MAX_WITNESS_TERMS = 1 << 25
 # A limit of time, not memory: the disc spectrum takes one SVD per (1,1)
 # block, so its peak RSS stays flat (37 MiB at size 2^18, 44 MiB at 2^19, one
@@ -81,7 +81,8 @@ class Model:
     model.  The functions look the model modules up at call time, so wrappers
     rebound onto those modules see the calls."""
 
-    witness: Callable[[int, int], _interval.WitnessVector]
+    # Grid point -> squared norm of the full witness, in closed form.
+    witness: Callable[[int], float]
     # (grid point, truncation, pairing indices) -> (image-norm lower bound,
     # pairing moduli, closed-form upper bounds of the full pairings, which
     # the computed ones must not exceed, or None if the model has none).
@@ -132,7 +133,7 @@ def _disc_image(n: int, trunc: int, indices: tuple[int, ...]):
 
 MODELS = {
     "interval": Model(
-        witness=lambda m, trunc: _interval.interval_witness(m, trunc),
+        witness=lambda m: _interval.interval_witness(m),
         image=_interval_image,
         bound=lambda m: INTERVAL_BOUND,
         # Fourier indices p.
@@ -142,7 +143,6 @@ MODELS = {
             "m": "point",
             "L": "truncation",
             "K": "truncation",
-            "xi_norm_sq": "xi_norm_sq",
             "xi_norm_sq_closed": "xi_norm_sq_closed",
             "zeta_norm_lower_sq": "zeta_lower_sq",
             "bound_1_over_4pi2": "bound",
@@ -154,7 +154,7 @@ MODELS = {
         sweep_dims=lambda size: size,
     ),
     "disc": Model(
-        witness=lambda n, trunc: _disc().disc_witness(n, trunc),
+        witness=lambda n: _disc().disc_witness(n),
         image=_disc_image,
         bound=lambda n: (n - 1) / (4.0 * n * math.pi**2),
         # Radial indices k.
@@ -164,7 +164,7 @@ MODELS = {
             "n": "point",
             "L": "truncation",
             "K_rows": "truncation",
-            "xi_norm_sq": "xi_norm_sq",
+            "xi_norm_sq_closed": "xi_norm_sq_closed",
             "zeta_norm_lower_sq": "zeta_lower_sq",
             "bound_paper": "bound",
             "pairing_k1": "pairing_0",
@@ -222,7 +222,6 @@ class WitnessReport:
     model: str
     grid: list[int]
     truncations: list[int]
-    xi_norm_sq: list[float]
     xi_norm_sq_closed: list[float]
     zeta_lower_sq: list[float]
     model_bound: list[float]
@@ -249,15 +248,13 @@ def witness_protocol(
         raise ValueError(f"trunc_factor must be >= 1, got {trunc_factor}")
     truncs = [max(trunc_factor * point, MIN_TRUNCATION) for point in grid]
     if max(truncs) > MAX_WITNESS_TERMS:
-        # Refused before a witness vector of that length is allocated.
+        # Refused before any sum of that length runs.
         raise ValueError(
             f"truncation {max(truncs)} (trunc_factor x grid point) exceeds "
             f"{MAX_WITNESS_TERMS} terms"
         )
     indices = spec.pairing_indices
 
-    xi_norm_sq: list[float] = []
-    xi_tail_sq: list[float] = []
     xi_closed: list[float] = []
     zeta_sq: list[float] = []
     bounds: list[float] = []
@@ -265,23 +262,17 @@ def witness_protocol(
     upper: list[list[float]] = []
 
     for point, trunc in zip(grid, truncs):
-        witness = spec.witness(point, trunc)
+        xi_closed.append(spec.witness(point))
         zeta, pairing, upper_row = spec.image(point, trunc, indices)
         bounds.append(spec.bound(point))
         pairings.append(pairing)
         if upper_row is not None:
             upper.append(upper_row)
-        xi_norm_sq.append(witness.norm_sq)
-        xi_tail_sq.append(witness.tail_bound**2)
-        xi_closed.append(witness.closed_form_norm_sq)
         zeta_sq.append(zeta**2)
 
-    bounded = all(
-        closed <= XI_NORM_CAP and abs(stored + tail - closed) <= 1e-6
-        for stored, tail, closed in zip(xi_norm_sq, xi_tail_sq, xi_closed)
-    )
+    bounded = all(closed <= XI_NORM_CAP for closed in xi_closed)
     above_bound = all(z >= b for z, b in zip(zeta_sq, bounds))
-    # Truncation only lowers zeta (positive terms); the xi tail counts exactly.
+    # Truncation only lowers zeta (positive terms); xi is the full norm.
     warnings = [
         f"zeta^2 {z:.3g} is below the model bound {b:.3g} at grid point {point} "
         f"with truncation {trunc}; a larger --trunc-factor can only raise zeta"
@@ -310,7 +301,6 @@ def witness_protocol(
         model=model,
         grid=list(grid),
         truncations=truncs,
-        xi_norm_sq=xi_norm_sq,
         xi_norm_sq_closed=xi_closed,
         zeta_lower_sq=zeta_sq,
         model_bound=bounds,
@@ -334,7 +324,6 @@ def witness_report_rows(report: WitnessReport) -> list[dict]:
         values = {
             "point": point,
             "truncation": report.truncations[i],
-            "xi_norm_sq": report.xi_norm_sq[i],
             "xi_norm_sq_closed": report.xi_norm_sq_closed[i],
             "zeta_lower_sq": report.zeta_lower_sq[i],
             "bound": report.model_bound[i],

@@ -148,15 +148,13 @@ def main(argv: list[str] | None = None) -> int:
             return config_error("--trunc-factor must be >= 1")
         from . import analysis, specfun
 
-        if args.command == "disc":
-            from . import disc  # noqa: F401
         try:
             report = analysis.witness_protocol(
                 args.command, tuple(args.grid), trunc_factor=args.trunc_factor
             )
         except (ValueError, specfun.BracketError) as exc:
             # A grid that is not strictly increasing, or a truncation beyond
-            # analysis.MAX_WITNESS_TERMS (2.1 GiB of peak memory), is
+            # analysis.MAX_WITNESS_TERMS (1.8 GiB of peak memory), is
             # refused before any sum runs.  The disc rows need zeros of J_0
             # beyond 2^18 once a grid point times --trunc-factor exceeds
             # about 83 000.
@@ -168,7 +166,7 @@ def main(argv: list[str] | None = None) -> int:
         warnings = report.warnings
         ok = report.verdict == "pass"
     else:  # sweep
-        from . import analysis, disc  # noqa: F401
+        from . import analysis
 
         try:
             profiles = [

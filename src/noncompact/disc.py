@@ -151,8 +151,9 @@ def disc_singular_values(n_max: int, k_max: int) -> np.ndarray:
     return -np.sort(-np.concatenate([cauchy, *spectra, *spectra, np.zeros(k_max)]))
 
 
-# The witness with coefficients sqrt(n)/(n+ell) on |2,1,ell,->, ell = 1..L,
-# has the interval witness's coefficients, so it is that function.
+# The witness with coefficients sqrt(n)/(n+ell) on |2,1,ell,->, ell >= 1,
+# has the interval witness's coefficients, so its squared norm n psi'(n+1)
+# is that function.
 disc_witness = interval_witness
 
 

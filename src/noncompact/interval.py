@@ -1,6 +1,7 @@
 """The unit-interval model: Fourier eigenbasis of the periodic extension of
 the momentum operator, the compression of multiplication by x between the
-nonnegative and negative spectral subspaces, and the witness sequence.
+nonnegative and negative spectral subspaces, and the witness sequence's
+norm and image coefficients.
 
 Column modes are stored as positive integers n representing e^{-2 pi i n x};
 the matrix entry against row mode e^{2 pi i l x} is -1/(2 pi i (n + l)), with
@@ -95,9 +96,13 @@ def cauchy_eigenvalues(x: np.ndarray) -> np.ndarray:
     n = x.size
     if x.ndim != 1 or n < 1 or not np.all((x > 0) & np.isfinite(x)):
         raise ValueError("x must be a nonempty vector of finite positive nodes")
-    two_x = x + x
-    d = 1.0 / two_x  # diagonal of the residual C - L L^T
-    stop = np.finfo(float).eps * d.sum()
+    with np.errstate(over="ignore", divide="ignore"):
+        two_x = x + x
+        d = 1.0 / two_x  # diagonal of the residual C - L L^T
+        trace = d.sum()
+    if not (np.all(np.isfinite(two_x)) and math.isfinite(trace)):
+        raise ValueError("x + x and tr(C) = sum 1/(2x) must be finite")
+    stop = np.finfo(float).eps * trace
     g = np.ones(n)
     s = np.empty(n)
     t = np.empty(n)
@@ -126,42 +131,12 @@ def interval_singular_values(n: int) -> np.ndarray:
     return cauchy_eigenvalues(np.arange(n) + 0.5) / TWO_PI
 
 
-@dataclass(frozen=True)
-class WitnessVector:
-    """Truncated witness vector with the l2 norm of its omitted coefficients.
-
-    coefficients[i] is the weight on the i-th labeled mode; tail_bound is the
-    square root of the exact series tail m * sum_{l>L} 1/(l+m)^2 (float64
-    rounding not controlled).  scale is the sequence parameter (m for the
-    interval model, n for the disc model).
-    """
-
-    coefficients: np.ndarray
-    tail_bound: float
-    scale: int
-
-    @property
-    def norm_sq(self) -> float:
-        return float(np.sum(np.abs(self.coefficients) ** 2))
-
-    @property
-    def closed_form_norm_sq(self) -> float:
-        return self.scale * float(specfun.pair_sum(self.scale, self.scale, 0))
-
-
-def interval_witness(m: int, truncation: int) -> WitnessVector:
-    """Witness vector with coefficients sqrt(m)/(n+m) on e^{-2 pi i n x},
-    n = 1..truncation; the exact series tail gives the tail bound."""
-    if m < 1 or truncation < 1:
-        raise ValueError("m and truncation must be >= 1")
-    n = np.arange(1, truncation + 1, dtype=float)
-    coeffs = math.sqrt(m) / (n + m)
-    tail_sq = m * float(specfun.pair_sum(m, m, truncation))
-    return WitnessVector(
-        coefficients=coeffs,
-        tail_bound=math.sqrt(tail_sq),
-        scale=m,
-    )
+def interval_witness(m: int) -> float:
+    """Squared norm of the witness with coefficients sqrt(m)/(n+m) on
+    e^{-2 pi i n x}, n >= 1: m * sum_{n>=1} 1/(n+m)^2 = m psi'(m+1) < 1."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    return m * float(specfun.pair_sum(m, m, 0))
 
 
 def interval_image_coefficients(

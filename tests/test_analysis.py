@@ -293,6 +293,17 @@ def test_cauchy_eigenvalues_validation():
             interval.cauchy_eigenvalues(np.array(x))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "x", [[1e-310, 1.0], [1e308], np.full(10, 1e-308)], ids=["1/2x", "x+x", "trace"]
+)
+def test_cauchy_eigenvalues_refuse_overflowing_nodes(x):
+    # A subnormal node overflows 1/(2x), a huge one x + x, and ten nodes of
+    # 1e-308 the trace; each is refused before numpy warns.
+    with pytest.raises(ValueError, match="must be finite"):
+        interval.cauchy_eigenvalues(np.array(x))
+
+
 # --- witness protocol -------------------------------------------------------------
 
 
@@ -332,9 +343,8 @@ def _raise_bound(monkeypatch, model: str, bound: float) -> None:
 
 
 def test_witness_protocol_truncation_warning(monkeypatch):
-    # L = 1000 terms at m = 1000 leave a xi tail of norm sqrt(1/2), which the
-    # boundedness premise counts exactly: no warning while zeta clears the
-    # bound.
+    # L = 1000 terms at m = 1000 truncate only zeta; the boundedness premise
+    # reads the full xi norm: no warning while zeta clears the bound.
     report = analysis.witness_protocol("interval", (1000,), trunc_factor=1)
     assert report.verdict == "pass"
     assert not any("zeta" in w for w in report.warnings)
@@ -401,7 +411,6 @@ def test_witness_report_rows_schema():
         "m",
         "L",
         "K",
-        "xi_norm_sq",
         "xi_norm_sq_closed",
         "zeta_norm_lower_sq",
         "bound_1_over_4pi2",
@@ -419,7 +428,7 @@ def test_disc_report_rows_schema():
         "n",
         "L",
         "K_rows",
-        "xi_norm_sq",
+        "xi_norm_sq_closed",
         "zeta_norm_lower_sq",
         "bound_paper",
         "pairing_k1",
@@ -520,8 +529,8 @@ def test_cli_config_errors(capsys, tmp_path, monkeypatch):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: --grid: grid must be strictly increasing\n"
-    # A truncation past the term limit is refused before numpy is asked for a
-    # witness vector of that length, also just above the limit.
+    # A truncation past the term limit is refused before numpy is asked for an
+    # image sum of that length, also just above the limit.
     assert cli.main(["interval", "--grid", "5", "--trunc-factor", "99999999999"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -672,8 +681,8 @@ def test_threads_flag_leaves_one_os_thread(argv):
 def test_witness_term_limit_memory_claim():
     # The comment on analysis.MAX_WITNESS_TERMS: peak RSS of `interval --grid 1
     # --trunc-factor N` grows by under 100 bytes per term, so the limit needs
-    # under 3 GiB.  Measured at 1e6 and 4e6 terms: 66 bytes per term, and
-    # 2.1 GiB by linear extrapolation (2.09 GiB measured at the limit).
+    # under 3 GiB.  Measured at 1e6, 4e6 and 1.6e7 terms: 58 bytes per term,
+    # set by the truncated image sum, and 1.84 GiB by linear extrapolation.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     peak = {}
@@ -768,6 +777,8 @@ def test_traced_witness_records_image_layers(tmp_path, model):
     assert run.returncode == (0 if verdict == "pass" else 1)
     traced = json.loads(record.read_text())
     assert traced["layers"][f"{model}.image_coefficients"]["calls"] >= 2
+    # One witness call per grid point, through the model module.
+    assert traced["layers"][f"{model}.witness"]["calls"] == 2
     if model == "disc":
         # Two grid points, each 1000 rows of L = 1000 terms.
         assert traced["counters"]["disc.image_coefficients.terms"] == 2_000_000

@@ -116,14 +116,6 @@ def test_assemble_size_guard():
 # --- witness sequence ----------------------------------------------------------
 
 
-def test_disc_witness_coefficients():
-    w = disc.disc_witness(2, 2)
-    np.testing.assert_allclose(
-        w.coefficients, [math.sqrt(2) / 3, math.sqrt(2) / 4], atol=1e-15
-    )
-    assert w.closed_form_norm_sq == pytest.approx(2 * sp.polygamma(1, 3), abs=1e-12)
-
-
 def test_image_coefficient_single_term():
     value = disc.disc_image_coefficient(1, 1, 1)
     assert value == pytest.approx(1.0 / (4.0 * specfun.bessel_zero(0, 1)), abs=1e-12)

@@ -7,6 +7,7 @@ import pytest
 from noncompact import interval
 
 TWO_PI = 2.0 * math.pi
+EPS = np.finfo(float).eps
 
 
 # --- eigenbasis and matrix elements -------------------------------------------
@@ -64,30 +65,37 @@ def test_compression_size_guard():
         interval.assemble_interval_compression(0, 4)
 
 
-# --- witness vectors -----------------------------------------------------------
-
-
-def test_witness_coefficients():
-    w = interval.interval_witness(1, 3)
-    np.testing.assert_allclose(w.coefficients, [1 / 2, 1 / 3, 1 / 4], atol=1e-15)
-
-
-def test_witness_norm_identity():
-    for m in (1, 10, 100, 1000):
-        w = interval.interval_witness(m, 50 * m)
-        total = w.norm_sq + w.tail_bound**2
-        assert total == pytest.approx(w.closed_form_norm_sq, abs=1e-10)
+# --- witness norm --------------------------------------------------------------
 
 
 def test_witness_norm_bounded():
-    w = interval.interval_witness(10**4, 10**5)
-    assert w.closed_form_norm_sq == pytest.approx(0.99995, abs=1e-5)
-    assert w.closed_form_norm_sq <= 1.01
+    # ||xi_m||^2 = m psi'(m+1) < 1, against 30-digit mpmath.
+    for m in (1, 2, 100, 1000, 3000, 10000, 10**6):
+        with mpmath.workdps(30):
+            want = m * mpmath.psi(1, m + 1)
+        value = interval.interval_witness(m)
+        assert abs(value - want) <= 4 * EPS * want, (m, value, want)
+        assert value < 1.0
+
+
+def test_witness_norm_identity():
+    # The coefficients sqrt(m)/(n+m), n >= 1, squared and summed: fsum over
+    # n <= 10m (the CLI truncation) plus the 30-digit tail m psi'(11m+1), at
+    # the grid points of the CLI defaults and of the benchmark.
+    for m in (100, 1000, 3000, 10000):
+        n = np.arange(1, 10 * m + 1, dtype=float)
+        coefficients = math.sqrt(m) / (n + m)
+        with mpmath.workdps(30):
+            tail = m * mpmath.psi(1, 11 * m + 1)
+        total = mpmath.mpf(math.fsum(coefficients**2)) + tail
+        value = interval.interval_witness(m)
+        assert abs(value - total) <= 4 * EPS * value, (m, value, total)
 
 
 def test_witness_invalid():
-    with pytest.raises(ValueError):
-        interval.interval_witness(0, 10)
+    for m in (0, -3):
+        with pytest.raises(ValueError):
+            interval.interval_witness(m)
 
 
 # --- image pairings ------------------------------------------------------------

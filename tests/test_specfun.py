@@ -197,19 +197,17 @@ def test_pair_sum_matches_the_summed_terms(a, bs, lo, hi):
 
 
 def test_every_closed_form_goes_through_pair_sum(monkeypatch):
-    # The six psi evaluations of the models: the rows l != m and l = m of the
-    # interval image coefficients, the witness's closed norm and its tail,
-    # the disc far field (L > 64) and the disc bracket.
+    # The five psi evaluations of the models: the rows l != m and l = m of the
+    # interval image coefficients, the witness's closed norm, the disc far
+    # field (L > 64) and the disc bracket.
     def refuse(*args, **kwargs):
         raise AssertionError("pair_sum was called")
 
     monkeypatch.setattr(specfun, "pair_sum", refuse)
-    witness = interval.WitnessVector(np.ones(1), tail_bound=0.0, scale=3)
     calls = (
         lambda: interval.interval_image_coefficients(5, 3),
         lambda: interval.interval_image_coefficients(2, 3, 10),
-        lambda: witness.closed_form_norm_sq,
-        lambda: interval.interval_witness(3, 10),
+        lambda: interval.interval_witness(3),
         lambda: disc.disc_image_coefficients(3, 2, 100),
         lambda: disc.disc_image_bracket(3, 2),
     )

@@ -29,10 +29,12 @@ XI_NORM_CAP = 1.01
 # 58 bytes per term, set by the truncated image sum; 1.84 GiB at this limit
 # by linear extrapolation), so this many terms need under 3 GiB.
 MAX_WITNESS_TERMS = 1 << 25
-# A limit of time, not memory: the disc spectrum takes one SVD per (1,1)
-# block, so its peak RSS stays flat (37 MiB at size 2^18, 44 MiB at 2^19, one
-# BLAS thread) while its time grows about like size^2 (3.8 s and 14.4 s), to
-# about a minute at this size.
+# Peak RSS of `noncompact --threads 1 sweep --sizes N` is 153, 281 and 568
+# MiB at N = 2^18, 2^19 and 2^20 (3.8 s, 12.8 s and 50 s), about 512 bytes
+# per node: set by the interval model, whose cauchy_eigenvalues keeps a 64 x N
+# factor.  The disc spectrum takes one SVD per (1,1) block, so its memory
+# stays flat (37 and 44 MiB at 2^18 and 2^19) while its time, most of the
+# total, grows about like N^2.
 MAX_SWEEP_SIZE = 1 << 20
 
 
@@ -92,8 +94,9 @@ class Model:
     bound: Callable[[int], float]
     pairing_indices: tuple[int, ...]
     decay_threshold: float
-    # CSV column -> key of the per-point values in witness_report_rows.
-    row_columns: dict[str, str]
+    # CSV names: the grid point, image rows and bound columns, and the prefix
+    # of the pairing columns pairing_{prefix}{index}.
+    csv_names: tuple[str, str, str, str]
     # Size -> all singular values, descending, of the compression, computed
     # from its structure without assembling it.
     sweep_spectrum: Callable[[int], np.ndarray]
@@ -139,17 +142,7 @@ MODELS = {
         # Fourier indices p.
         pairing_indices=(0, 1, 5),
         decay_threshold=0.05,
-        row_columns={
-            "m": "point",
-            "L": "truncation",
-            "K": "truncation",
-            "xi_norm_sq_closed": "xi_norm_sq_closed",
-            "zeta_norm_lower_sq": "zeta_lower_sq",
-            "bound_1_over_4pi2": "bound",
-            "pairing_p0": "pairing_0",
-            "pairing_p1": "pairing_1",
-            "verdict": "verdict",
-        },
+        csv_names=("m", "K", "bound_1_over_4pi2", "p"),
         sweep_spectrum=lambda size: _interval.interval_singular_values(size),
         sweep_dims=lambda size: size,
     ),
@@ -160,18 +153,7 @@ MODELS = {
         # Radial indices k.
         pairing_indices=(1, 2, 3),
         decay_threshold=0.1,
-        row_columns={
-            "n": "point",
-            "L": "truncation",
-            "K_rows": "truncation",
-            "xi_norm_sq_closed": "xi_norm_sq_closed",
-            "zeta_norm_lower_sq": "zeta_lower_sq",
-            "bound_paper": "bound",
-            "pairing_k1": "pairing_0",
-            "pairing_k2": "pairing_1",
-            "pairing_k3": "pairing_2",
-            "verdict": "verdict",
-        },
+        csv_names=("n", "K_rows", "bound_paper", "k"),
         sweep_spectrum=lambda size: _disc().disc_singular_values(*disc_sweep_dims(size)),
         sweep_dims=disc_sweep_dims,
     ),
@@ -318,20 +300,22 @@ def witness_protocol(
 
 
 def witness_report_rows(report: WitnessReport) -> list[dict]:
-    columns = MODELS[report.model].row_columns
+    point_name, rows_name, bound_name, prefix = MODELS[report.model].csv_names
     rows = []
     for i, point in enumerate(report.grid):
-        values = {
-            "point": point,
-            "truncation": report.truncations[i],
+        row = {
+            point_name: point,
+            "L": report.truncations[i],
+            rows_name: report.truncations[i],
             "xi_norm_sq_closed": report.xi_norm_sq_closed[i],
-            "zeta_lower_sq": report.zeta_lower_sq[i],
-            "bound": report.model_bound[i],
-            "verdict": report.verdict,
+            "zeta_norm_lower_sq": report.zeta_lower_sq[i],
+            bound_name: report.model_bound[i],
         }
-        # pairing_j: the pairing at the j-th pairing index.
-        values.update((f"pairing_{j}", p) for j, p in enumerate(report.pairings[i]))
-        rows.append({column: values[key] for column, key in columns.items()})
+        # One column per pairing index: every pairing the verdict reads.
+        for index, pairing in zip(report.pairing_indices, report.pairings[i]):
+            row[f"pairing_{prefix}{index}"] = pairing
+        row["verdict"] = report.verdict
+        rows.append(row)
     return rows
 
 
@@ -354,3 +338,17 @@ def sweep_report_dict(profile: SweepProfile) -> dict:
         "sv": [sv[:64].tolist() for sv in profile.singular_values],
         "counts": profile.counts_above,
     }
+
+
+def sweep_report_rows(profiles: list[SweepProfile]) -> list[dict]:
+    """One CSV row per model and size, read from sweep_report_dict: the counts
+    at each threshold and the top 8 singular values."""
+    rows = []
+    for report in map(sweep_report_dict, profiles):
+        for size, counts, sv in zip(report["sizes"], report["counts"], report["sv"]):
+            row = {"model": report["model"], "size": size}
+            row.update(zip([f"count_ge_{t}" for t in report["thresholds"]], counts))
+            # sv1..sv8, blank past the last singular value of a size below 8.
+            row.update(zip([f"sv{j}" for j in range(1, 9)], sv + [""] * 8))
+            rows.append(row)
+    return rows

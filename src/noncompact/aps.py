@@ -37,6 +37,21 @@ def aps_index(cut: int) -> int:
     return dim_plus - dim_minus
 
 
+def _index_ladder(cuts: Sequence[int]) -> tuple[list[dict], bool]:
+    """One row (N, dim_plus, dim_minus, index) per cut, and whether index ==
+    dim_plus - dim_minus == N at every cut.  Private: perfbench's tracer times
+    the public functions here, and this one only builds rows around them."""
+    rows, ok = [], True
+    for cut in cuts:
+        dim_plus, dim_minus = aps_kernel_dims(cut)
+        index = aps_index(cut)
+        ok = ok and index == dim_plus - dim_minus == cut
+        rows.append(
+            {"N": cut, "dim_plus": dim_plus, "dim_minus": dim_minus, "index": index}
+        )
+    return rows, ok
+
+
 def kernel_mode_residual(n: int, radii: Sequence[float]) -> float:
     """Max pointwise Dirac residual of the kernel mode r^n e^{+in t} (chirality
     "+", operator e^{i t}(d_r + i r^{-1} d_t)) or r^n e^{-in t} ("-", operator

@@ -48,8 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--grid", type=_int_list, default=grid, help="comma-separated witness grid"
         )
         p.add_argument("--trunc-factor", type=int, default=10)
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("index", help="extension index ladder")
     p.add_argument(
@@ -58,8 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=list(range(-10, 11)),
         help="comma-separated list of boundary cuts N",
     )
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("json", "csv"), default="csv")
 
     p = sub.add_parser("sweep", help="singular-value sweep on both models")
     p.add_argument(
@@ -68,18 +64,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=[64, 256, 1024, 4096],
         help="comma-separated, strictly increasing compression sizes",
     )
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    for name, p in sub.choices.items():
+        p.add_argument("--out", default=None, help="output path (default stdout)")
+        default_format = "csv" if name == "index" else "json"
+        p.add_argument("--format", choices=("json", "csv"), default=default_format)
     return parser
-
-
-def _emit(text: str, out: str | None) -> None:
-    text = text if text.endswith("\n") else text + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
 
 
 def _rows_to_csv_text(rows: list[dict]) -> str:
@@ -94,9 +83,8 @@ def _rows_to_csv_text(rows: list[dict]) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
 
@@ -112,35 +100,19 @@ def main(argv: list[str] | None = None) -> int:
             os.environ[var] = str(args.threads)
 
     if args.out is not None:
-        # Fail before computing; the file is only opened by _emit at the end.
+        # Fail before computing; the file is only opened at the end.
         directory = os.path.dirname(os.path.abspath(args.out))
         if os.path.isdir(args.out) or not os.access(directory, os.W_OK):
             return config_error(f"--out: cannot write {args.out!r}")
 
+    as_csv = args.format == "csv"
     warnings: list[str] = []
     # Each subcommand imports only what it uses: `index` needs no numpy, and
     # `interval`, `disc` and `sweep` no scipy.
     if args.command == "index":
         from . import aps
 
-        rows = []
-        ok = True
-        for cut in args.grid:
-            dim_plus, dim_minus = aps.aps_kernel_dims(cut)
-            index = aps.aps_index(cut)
-            ok = ok and (index == dim_plus - dim_minus == cut)
-            rows.append(
-                {
-                    "N": cut,
-                    "dim_plus": dim_plus,
-                    "dim_minus": dim_minus,
-                    "index": index,
-                }
-            )
-        if args.format == "csv":
-            text = _rows_to_csv_text(rows)
-        else:
-            text = json.dumps(rows, indent=2)
+        data, ok = aps._index_ladder(args.grid)
     elif args.command in ("interval", "disc"):
         if any(g < 1 for g in args.grid):
             return config_error("--grid entries must be >= 1")
@@ -154,15 +126,13 @@ def main(argv: list[str] | None = None) -> int:
             )
         except (ValueError, specfun.BracketError) as exc:
             # A grid that is not strictly increasing, or a truncation beyond
-            # analysis.MAX_WITNESS_TERMS (1.8 GiB of peak memory), is
-            # refused before any sum runs.  The disc rows need zeros of J_0
-            # beyond 2^18 once a grid point times --trunc-factor exceeds
-            # about 83 000.
+            # analysis.MAX_WITNESS_TERMS, is refused before any sum runs; disc
+            # rows that need zeros of J_0 beyond 2^18 (a grid point times
+            # --trunc-factor above about 83 000), before those zeros are refined.
             return config_error(f"--grid: {exc}")
-        if args.format == "csv":
-            text = _rows_to_csv_text(analysis.witness_report_rows(report))
-        else:
-            text = json.dumps(analysis.witness_report_dict(report), indent=2)
+        data = (
+            analysis.witness_report_rows if as_csv else analysis.witness_report_dict
+        )(report)
         warnings = report.warnings
         ok = report.verdict == "pass"
     else:  # sweep
@@ -176,23 +146,17 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             return config_error(f"--sizes: {exc}")
         ok = all(analysis.nesting_monotone(profile) for profile in profiles)
-        payloads = [analysis.sweep_report_dict(profile) for profile in profiles]
-        if args.format == "csv":
-            rows = []
-            for payload in payloads:
-                for i, size in enumerate(payload["sizes"]):
-                    row = {"model": payload["model"], "size": size}
-                    for t, c in zip(payload["thresholds"], payload["counts"][i]):
-                        row[f"count_ge_{t}"] = c
-                    for j, sv in enumerate(payload["sv"][i][:8]):
-                        row[f"sv{j + 1}"] = sv
-                    rows.append(row)
-            text = _rows_to_csv_text(rows)
+        if as_csv:
+            data = analysis.sweep_report_rows(profiles)
         else:
-            text = json.dumps(payloads, indent=2)
-
+            data = [analysis.sweep_report_dict(profile) for profile in profiles]
+    text = _rows_to_csv_text(data) if as_csv else json.dumps(data, indent=2) + "\n"
     try:
-        _emit(text, args.out)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w") as fh:
+                fh.write(text)
     except OSError as exc:
         return config_error(f"--out: {exc}")
     for warning in warnings:

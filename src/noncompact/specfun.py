@@ -285,13 +285,19 @@ def bessel_zeros(n: int, k_max: int, table: BesselZeroTable | None = None) -> np
         else:
             below = bessel_zeros(n - 1, k_max + 1, table)
             a, b = below[ks - 1], below[ks]
+        # Where a float spacing reaches half the bracket width (from 2^18 on),
+        # no float bracket of that width holds the zero strictly inside, so
+        # those ranks are refused before any rank is refined.
+        unstorable = np.spacing(a) >= 0.5 * ZERO_BRACKET_WIDTH
+        if unstorable.any():
+            k = int(ks[np.argmax(unstorable)])
+            raise BracketError(f"no sign-change bracket for zero {k} of J_{n}")
         x = _newton_in_intervals(n, ks, a, b)
         # Rounding x -/+ h moves each end by at most half a spacing of x.
         h = 0.5 * ZERO_BRACKET_WIDTH - np.spacing(x)
         lo, hi = x - h, x + h
         # The zeros of order n - 1 are within ZERO_BRACKET_WIDTH of the true
-        # ones, so this margin keeps [lo, hi] inside the true interval.  Above
-        # 2^18 no float bracket of that width has x strictly inside.
+        # ones, so this margin keeps [lo, hi] inside the true interval.
         ok = (
             (a + ZERO_BRACKET_WIDTH < lo)
             & (lo < x)

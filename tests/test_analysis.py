@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import importlib.util
+import io
 import json
 import math
 import os
@@ -17,6 +19,7 @@ from noncompact import analysis, cli, disc, interval, specfun
 
 SRC = str(pathlib.Path(interval.__file__).resolve().parents[1])
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
 
 # --- singular values -----------------------------------------------------------
@@ -416,6 +419,7 @@ def test_witness_report_rows_schema():
         "bound_1_over_4pi2",
         "pairing_p0",
         "pairing_p1",
+        "pairing_p5",
         "verdict",
     ]
     assert cli._rows_to_csv_text(rows).startswith("m,L,K,")
@@ -436,6 +440,20 @@ def test_disc_report_rows_schema():
         "pairing_k3",
         "verdict",
     ]
+
+
+@pytest.mark.parametrize("model", ["interval", "disc"])
+def test_csv_carries_every_pairing_the_verdict_reads(capsys, model):
+    # One pairing column per pairing index, and at every grid point those
+    # columns equal the JSON pairings that the decay premise reads.
+    argv = [model, "--grid", "100,1000"]
+    assert cli.main(argv) == 0
+    pairings = json.loads(capsys.readouterr().out)["pairings"]
+    assert cli.main([*argv, "--format", "csv"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    columns = [column for column in rows[0] if column.startswith("pairing_")]
+    assert len(columns) == len(analysis.MODELS[model].pairing_indices)
+    assert [[float(row[column]) for column in columns] for row in rows] == pairings
 
 
 def test_sweep_report_dict_round_trips():
@@ -486,6 +504,37 @@ def test_cli_sweep(tmp_path):
     assert cli.main(["sweep", "--sizes", "8,32", "--out", str(out)]) == 0
     data = json.loads(out.read_text())
     assert [d["model"] for d in data] == ["interval", "disc"]
+
+
+def test_cli_sweep_csv_below_eight_singular_values(capsys):
+    # Every row has the columns sv1..sv8; a size with fewer singular values
+    # leaves the last cells blank.
+    assert cli.main(["sweep", "--sizes", "4,64", "--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header = lines[0].split(",")
+    assert header[-8:] == [f"sv{j}" for j in range(1, 9)]
+    assert [len(line.split(",")) for line in lines] == [len(header)] * 5
+    assert lines[1].startswith("interval,4,") and lines[1].endswith(",,,,")
+
+
+def test_readme_cli_block_runs(tmp_path):
+    # The four invocations of the README's CLI section, run as written from a
+    # fresh directory: each exits 0, and writes its documented --out file or
+    # else its report to stdout.
+    block = README.read_text().split("## CLI", 1)[1].split("```sh\n", 1)[1]
+    lines = block.split("```", 1)[0].splitlines()
+    commands = [line.split() for line in lines if line.startswith("noncompact ")]
+    assert len(commands) == 4
+    for argv in commands:
+        run = _run_python("-m", *argv, cwd=tmp_path)
+        assert run.returncode == 0, (argv, run.stderr)
+        if "--out" in argv:
+            out = tmp_path / argv[argv.index("--out") + 1]
+            assert run.stdout == "" and out.read_text(), argv
+            if out.suffix == ".json":
+                json.loads(out.read_text())
+        else:
+            assert run.stdout, argv
 
 
 def test_cli_config_errors(capsys, tmp_path, monkeypatch):
@@ -633,11 +682,16 @@ def test_cli_writes_protocol_warnings(capsys, monkeypatch):
             assert json.loads(captured.out) == analysis.witness_report_dict(report)
 
 
-def _run_python(*args: str) -> subprocess.CompletedProcess:
+def _run_python(*args: str, cwd=None) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *args],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
     )
 
 

@@ -362,6 +362,25 @@ def test_order_zero_brackets_pass_scipys_sign_check():
         specfun.bessel_zeros(0, 83444, table)
 
 
+def test_unstorable_zero_ranks_are_refused_before_the_newton_fill(monkeypatch):
+    # From the first rank whose isolating interval starts where a float
+    # spacing is at least half of ZERO_BRACKET_WIDTH on, no bracket of that
+    # width holds a float zero strictly inside.  For J_0 that is rank 83 444
+    # (spacing 5.8e-11 there, 2.9e-11 at rank 83 443), and a request past it
+    # is refused before any rank is refined.
+    ks = np.arange(1, 84001)
+    starts = math.pi * (ks - 0.25)
+    first = int(ks[np.argmax(np.spacing(starts) >= specfun.ZERO_BRACKET_WIDTH / 2)])
+    assert first == 83444
+
+    def no_fill(*args):
+        raise AssertionError("the Newton fill ran")
+
+    monkeypatch.setattr(specfun, "_newton_in_intervals", no_fill)
+    with pytest.raises(specfun.BracketError, match=f"zero {first} of J_0$"):
+        specfun.bessel_zeros(0, 84000, specfun.BesselZeroTable())
+
+
 def test_order_zero_fill_loads_no_scipy():
     # A fresh interpreter fills every order up to 63 on a cold table, sign
     # checks included, and groups the disc eigenvalues over the same range,

@@ -4,7 +4,8 @@ protocols, and the extension index ladder for two boundary-value models
 
 Importing the package loads no numerical library; `noncompact.cli` relies on
 that to set the BLAS thread count before numpy starts.  Import the modules
-(`analysis`, `aps`, `disc`, `interval`, `quadrature`, `specfun`) directly.
+(`analysis`, `aps`, `cli`, `disc`, `interval`, `specfun`) directly; numpy is
+their one runtime dependency.
 """
 
 __version__ = "0.1.0"

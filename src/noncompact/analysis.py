@@ -16,6 +16,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import disc as _disc
 from . import interval as _interval
 
 SWEEP_THRESHOLDS = (0.01, 0.05, 0.1, 0.25)
@@ -41,9 +42,6 @@ MAX_SWEEP_SIZE = 1 << 20
 def singular_values(matrix: np.ndarray) -> np.ndarray:
     """All singular values, descending, via LAPACK (the dense oracle for the
     structured spectra)."""
-    # Imported here: the witness protocol and the sweeps never need it.
-    from scipy import linalg
-
     a = np.asarray(matrix)
     if a.ndim != 2:
         raise ValueError("matrix must be 2-dimensional")
@@ -56,7 +54,7 @@ def singular_values(matrix: np.ndarray) -> np.ndarray:
             a = a.real
         elif not np.any(a.real):
             a = a.imag
-    return linalg.svdvals(a)
+    return np.linalg.svd(a, compute_uv=False)
 
 
 @dataclass
@@ -104,15 +102,6 @@ class Model:
     sweep_dims: Callable[[int], object]
 
 
-def _disc():
-    # Imported on first use, so the interval model never loads the disc
-    # model; disc imports scipy.special only for the mode normalization and
-    # the residual checks, so the sweep loads no scipy.
-    from . import disc
-
-    return disc
-
-
 def _interval_image(m: int, trunc: int, indices: tuple[int, ...]):
     # The norm of the truncated image (rows l < trunc), the full pairings.
     zeta = float(np.linalg.norm(_interval.interval_image_coefficients(m, trunc, trunc)))
@@ -123,10 +112,9 @@ def _interval_image(m: int, trunc: int, indices: tuple[int, ...]):
 def _disc_image(n: int, trunc: int, indices: tuple[int, ...]):
     # One coefficient vector gives both the image norm (rows k <= trunc) and
     # the pairings, and one bracket the upper ends at every pairing index.
-    disc = _disc()
-    coeffs = disc.disc_image_coefficients(n, max(trunc, *indices), trunc)
+    coeffs = _disc.disc_image_coefficients(n, max(trunc, *indices), trunc)
     zeta = float(np.linalg.norm(coeffs[:trunc]))
-    upper = disc.disc_image_bracket(n, max(indices))[1]
+    upper = _disc.disc_image_bracket(n, max(indices))[1]
     return (
         zeta,
         [float(coeffs[k - 1]) for k in indices],
@@ -147,14 +135,14 @@ MODELS = {
         sweep_dims=lambda size: size,
     ),
     "disc": Model(
-        witness=lambda n: _disc().disc_witness(n),
+        witness=lambda n: _disc.disc_witness(n),
         image=_disc_image,
         bound=lambda n: (n - 1) / (4.0 * n * math.pi**2),
         # Radial indices k.
         pairing_indices=(1, 2, 3),
         decay_threshold=0.1,
         csv_names=("n", "K_rows", "bound_paper", "k"),
-        sweep_spectrum=lambda size: _disc().disc_singular_values(*disc_sweep_dims(size)),
+        sweep_spectrum=lambda size: _disc.disc_singular_values(*disc_sweep_dims(size)),
         sweep_dims=disc_sweep_dims,
     ),
 }

@@ -107,8 +107,7 @@ def main(argv: list[str] | None = None) -> int:
 
     as_csv = args.format == "csv"
     warnings: list[str] = []
-    # Each subcommand imports only what it uses: `index` needs no numpy, and
-    # `interval`, `disc` and `sweep` no scipy.
+    # Each subcommand imports only what it uses: `index` needs no numpy.
     if args.command == "index":
         from . import aps
 

@@ -19,59 +19,23 @@ from . import specfun
 
 TWO_PI = 2.0 * math.pi
 
-# Refuse to allocate matrices beyond this many entries (reported, not crashed).
-MAX_MATRIX_ENTRIES = 200_000_000
-
-
-class CompressionSizeError(ValueError):
-    """Requested compression would exceed the allocation guard."""
-
 
 @dataclass(frozen=True)
-class FourierMode:
-    """Eigenvector e^{2 pi i n x} of the periodic extension, eigenvalue 2 pi n."""
+class Compression:
+    """A dense compression matrix, assembled for the tests and the benchmark;
+    the sweeps compute its spectrum from its structure instead."""
 
-    index: int
-
-    @property
-    def eigenvalue(self) -> float:
-        return TWO_PI * self.index
-
-    @property
-    def nonnegative(self) -> bool:
-        # Range of the nonnegative spectral projection.
-        return self.index >= 0
-
-
-def position_matrix_element(ell: int, n: int) -> complex:
-    """<e^{2 pi i ell x} | x | e^{2 pi i n x}> in the Fourier basis."""
-    if ell == n:
-        return 0.5 + 0.0j
-    return 1.0 / (2j * math.pi * (n - ell))
-
-
-@dataclass(frozen=True)
-class IntervalCompression:
     matrix: np.ndarray
-    row_modes: tuple[FourierMode, ...]
-    col_modes: tuple[FourierMode, ...]
 
 
-def assemble_interval_compression(n_pos: int, n_neg: int) -> IntervalCompression:
+def assemble_interval_compression(n_pos: int, n_neg: int) -> Compression:
     """Dense compression with rows l = 0..n_pos-1 and columns n = 1..n_neg
     (column n standing for the mode e^{-2 pi i n x})."""
     if n_pos < 1 or n_neg < 1:
         raise ValueError("n_pos and n_neg must be >= 1")
-    if n_pos * n_neg > MAX_MATRIX_ENTRIES:
-        raise CompressionSizeError(
-            f"{n_pos} x {n_neg} compression exceeds the allocation guard"
-        )
     ell = np.arange(n_pos, dtype=float)[:, None]
     n = np.arange(1, n_neg + 1, dtype=float)[None, :]
-    matrix = 1j / (TWO_PI * (n + ell))
-    rows = tuple(FourierMode(int(v)) for v in range(n_pos))
-    cols = tuple(FourierMode(-int(v)) for v in range(1, n_neg + 1))
-    return IntervalCompression(matrix=matrix, row_modes=rows, col_modes=cols)
+    return Compression(1j / (TWO_PI * (n + ell)))
 
 
 def cauchy_eigenvalues(x: np.ndarray) -> np.ndarray:

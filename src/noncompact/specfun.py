@@ -1,6 +1,6 @@
 """Special-function kernels: psi and psi' in numpy, the partial-fraction sum
-pair_sum behind every witness closed form, J_0 and J_1 in numpy, the Bessel
-derivative J_n' and the positive Bessel zeros with sign-change brackets.
+pair_sum behind every witness closed form, J_0 and J_1 in numpy, and the
+positive Bessel zeros with sign-change brackets.
 
 psi and psi' shift the argument up to x >= PSI_SERIES_MIN by recurrence
 (DLMF 5.5.2) and sum the asymptotic series through B_14 (DLMF 5.11.2 and
@@ -9,14 +9,13 @@ below 2.5e-20 there; float64 rounding is not controlled.
 
 bessel_j01 gives J_0 and J_1 from Hankel's expansion for x >= HANKEL_MIN
 and from Bessel's integral, summed by the trapezoidal rule, below it; J_n
-for n >= 2 follows by forward recurrence.  scipy is imported only by
-bessel_jprime, so pair_sum and the Bessel zeros load no scipy.  Zero
-finding is done here, by one path for every order: the k-th zero of J_n is
-isolated by the band (pi(k - 1/4), pi(k - 1/8)) for n = 0 and by the zeros
-of J_{n-1} (interlacing, DLMF 10.21(i)) for n >= 1; a bracketed Newton
-iteration on the forward recurrence from bessel_j01, vectorized over the
-ranks not yet cached, refines it, and it is stored with a bracket across
-which J_n changes sign inside that interval.  The sign check takes J_n from
+for n >= 2 follows by forward recurrence.  Zero finding is done here, by
+one path for every order: the k-th zero of J_n is isolated by the band
+(pi(k - 1/4), pi(k - 1/8)) for n = 0 and by the zeros of J_{n-1}
+(interlacing, DLMF 10.21(i)) for n >= 1; a bracketed Newton iteration on
+the forward recurrence from bessel_j01, vectorized over the ranks not yet
+cached, refines it, and it is stored with a bracket across which J_n
+changes sign inside that interval.  The sign check takes J_n from
 the same recurrence and asks |J_n| >= J_SIGN_MARGIN sqrt(n + 1) eps
 sqrt(2/(pi x)) at both ends, over 3 times its error bound.
 """
@@ -211,16 +210,6 @@ def bessel_j01(x) -> tuple[np.ndarray, np.ndarray]:
     if near.size:
         j0[near], j1[near] = _integral_j01(flat[near])
     return j0.reshape(x.shape), j1.reshape(x.shape)
-
-
-def bessel_jprime(n: int, x):
-    """Derivative J_n'(x) = (J_{n-1}(x) - J_{n+1}(x))/2, n >= 0, elementwise
-    over arrays (J_{-1} = -J_1 covers n = 0)."""
-    # The one scipy import of this module: the zeros and pair_sum need none.
-    from scipy import special as _sp
-
-    _check_order(n)
-    return 0.5 * (_sp.jv(n - 1, x) - _sp.jv(n + 1, x))
 
 
 @dataclass

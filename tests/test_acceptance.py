@@ -12,7 +12,8 @@ import time
 import numpy as np
 from scipy import special as sp
 
-from noncompact import analysis, aps, disc, interval, quadrature, specfun
+import oracles
+from noncompact import analysis, aps, disc, interval, specfun
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -25,25 +26,24 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 def test_criterion_1_disc_elements_match_oracle():
     start = time.perf_counter()
-    rule = quadrature.gauss_legendre_unit()
+    rule = oracles.gauss_legendre_unit()
     # Every entry of the assembled compression with n, m, k, l <= 8: both
     # branches on each side, 16 384 entries.
-    comp = disc.assemble_disc_compression(8, 8)
+    matrix = disc.assemble_disc_compression(8, 8).matrix
+    labels = oracles.disc_labels(8, 8)
     worst = 0.0
-    for a, row in enumerate(comp.row_modes):
-        for b, col in enumerate(comp.col_modes):
-            i, n, k = row.branch, row.angular, row.radial
-            j, m, ell = col.branch, col.angular, col.radial
-            oracle = quadrature.oracle_disc_element(i, n, k, j, m, ell, rule)
-            worst = max(worst, abs(comp.matrix[a, b] - oracle))
-    assert comp.matrix.size == 16_384
+    for a, row in enumerate(labels):
+        for b, col in enumerate(labels):
+            oracle = oracles.oracle_disc_element(*row, *col, rule)
+            worst = max(worst, abs(matrix[a, b] - oracle))
+    assert matrix.size == 16_384
     # Normalization identity behind the closed forms.
     jv = sp.jv
     norm_worst = 0.0
     for n in range(1, 9):
         for k in range(1, 9):
             alpha = specfun.bessel_zero(n - 1, k)
-            value = quadrature.radial_integral(
+            value = oracles.radial_integral(
                 lambda r, n=n, a=alpha: jv(n, r * a) ** 2 + jv(n - 1, r * a) ** 2,
                 rule,
             )
@@ -155,13 +155,14 @@ def test_criterion_5_index_ladder():
             -cut if cut <= -1 else 0
         ):
             ladder_ok = False
-        for n in range(dim_plus):
-            check = aps.kernel_function_residual(cut, n, "+", samples)
-            residual_ok = residual_ok and check.residual <= 1e-10 and check.boundary_ok
-        for n in range(dim_minus):
-            check = aps.kernel_function_residual(cut, n, "-", samples)
-            residual_ok = residual_ok and check.residual <= 1e-10 and check.boundary_ok
-    family = aps.noncompact_extension_kernel_report(32, samples)
+        for chirality, dim in (("+", dim_plus), ("-", dim_minus)):
+            for n in range(dim):
+                residual, boundary_ok = oracles.kernel_function_residual(
+                    cut, n, chirality, samples
+                )
+                residual_ok = residual_ok and residual <= 1e-10 and boundary_ok
+    # The kernel family r^n e^{-in t} of the maximal extension, n <= 32.
+    family = [oracles.kernel_mode_residual(n, samples) for n in range(33)]
     family_ok = max(family) <= 1e-10
     ok = ladder_ok and residual_ok and family_ok
     _report(
@@ -180,15 +181,16 @@ def test_criterion_6_residual_algebra():
     rng = np.random.default_rng(20260824)
     eigen_worst = 0.0
     for _ in range(20):
-        mode = disc.DiscMode(
-            branch=int(rng.integers(1, 3)),
-            angular=int(rng.integers(1, 13)),
-            radial=int(rng.integers(1, 13)),
-            sign=int(rng.choice([-1, 1])),
+        # (branch, n, k, sign)
+        mode = (
+            int(rng.integers(1, 3)),
+            int(rng.integers(1, 13)),
+            int(rng.integers(1, 13)),
+            int(rng.choice([-1, 1])),
         )
-        eigen_worst = max(eigen_worst, disc.eigenmode_residual(mode, radii))
+        eigen_worst = max(eigen_worst, oracles.eigenmode_residual(*mode, radii))
     deficiency_worst = max(
-        disc.deficiency_residual(n, family, sign, radii)
+        oracles.deficiency_residual(n, family, sign, radii)
         for n in range(0, 9)
         for family in (1, 2)
         for sign in (-1, 1)
@@ -244,10 +246,17 @@ def test_criterion_7_sweep_properties():
     assert nesting_ok
     assert interval_max_increasing
     assert fixture_ok
-    # Known-red clause: the interval operator has spectrum [0, 1/2] (it is
-    # not compact), but its finite sections gain singular values above 0.05
-    # only like log N: the counts read 2, 3, 3, 3 here and 4 first at
-    # N = 16384, so strict growth across these four sizes does not hold.
+    # Known-red clause: strict growth of the counts >= 0.05 across these four
+    # sizes holds for neither model.  The interval operator has spectrum
+    # [0, 1/2] (it is not compact), but its finite sections gain singular
+    # values above 0.05 only like log N (criterion 8): the counts read
+    # 2, 3, 3, 3 here and 4 first at N = 6344 (sigma_4 = 0.0500011 there,
+    # 0.0499990 at 6343).  The disc counts read 7, 18, 22, 22 and stay 22
+    # through size 16384: the (1,1) blocks at m >= 7 have no singular value
+    # above 0.05 (at most 0.0465), so blocks m <= 6 give 10 values, counted
+    # twice for the (2,2) blocks, from size 1024 on, and only the (1,2)
+    # Cauchy block still grows, like log K (criterion 9): 2 values up to
+    # K = 98, 3 from K = 100, so 23 first at size 20000.
     assert counts_increasing
 
 

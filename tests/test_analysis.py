@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import importlib.util
@@ -6,6 +7,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -191,10 +193,12 @@ def _disc_dims(draw):
 @example(dims=(16, 16))
 def test_disc_singular_values_match_dense(dims):
     n_max, k_max = dims
-    _assert_matches_dense(
-        disc.disc_singular_values(n_max, k_max),
-        disc.assemble_disc_compression(n_max, k_max, remove_correction=True).matrix,
-    )
+    matrix = disc.assemble_disc_compression(n_max, k_max).matrix
+    # Remove the correction 1/(2 alpha_{0,k}) from the diagonal of the
+    # (1,1)<-(2,1) block: rows (1,1,k), columns (2,1,ell).
+    trace = matrix[:k_max, n_max * k_max : n_max * k_max + k_max]
+    trace -= np.diag(0.5 / specfun.bessel_zeros(0, k_max))
+    _assert_matches_dense(disc.disc_singular_values(n_max, k_max), matrix)
 
 
 def _cauchy_eigenvalues_40_digits(x):
@@ -790,6 +794,25 @@ def test_subcommands_import_only_what_they_use():
         "-c", "import sys, noncompact.analysis; print('scipy' in sys.modules)"
     )
     assert analysis_import.stdout.strip() == "False", analysis_import.stderr
+
+
+def test_runtime_needs_only_numpy():
+    # No module of the package imports scipy, at any level, and numpy is the
+    # one runtime dependency: scipy serves the test oracles only.
+    paths = sorted(pathlib.Path(SRC, "noncompact").glob("*.py"))
+    assert paths
+    for path in paths:
+        imported = [
+            alias.name if isinstance(node, ast.Import) else node.module or ""
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        ]
+        assert not any(name.split(".")[0] == "scipy" for name in imported), path
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    with open(README.with_name("pyproject.toml"), "rb") as fh:
+        dependencies = tomllib.load(fh)["project"]["dependencies"]
+    assert [re.match(r"[\w.-]+", d).group() for d in dependencies] == ["numpy"]
 
 
 def test_tracer_counts_every_counted_call():

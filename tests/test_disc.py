@@ -8,7 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import special as sp
 
-from noncompact import analysis, aps, disc, quadrature, specfun
+import oracles
+from noncompact import analysis, disc, specfun
 
 RADII = np.linspace(0.05, 0.95, 37)
 
@@ -16,33 +17,21 @@ RADII = np.linspace(0.05, 0.95, 37)
 # --- modes and matrix elements -------------------------------------------------
 
 
-def test_mode_eigenvalue_and_normalization():
-    mode = disc.DiscMode(branch=1, angular=1, radial=1, sign=+1)
-    alpha = specfun.bessel_zero(0, 1)
-    assert mode.eigenvalue == pytest.approx(alpha)
-    assert mode.normalization == pytest.approx(1.0 / sp.jv(1, alpha))
-    neg = disc.DiscMode(branch=2, angular=3, radial=2, sign=-1)
-    assert neg.eigenvalue == pytest.approx(-specfun.bessel_zero(2, 2))
-
-
 def test_mode_validation():
-    with pytest.raises(ValueError):
-        disc.DiscMode(branch=3, angular=1, radial=1, sign=+1)
-    with pytest.raises(ValueError):
-        disc.DiscMode(branch=1, angular=0, radial=1, sign=+1)
-    with pytest.raises(ValueError):
-        disc.DiscMode(branch=1, angular=1, radial=1, sign=0)
+    # The residual oracle takes a mode as (branch, n, k, sign).
+    for mode in [(3, 1, 1, +1), (1, 0, 1, +1), (1, 1, 0, +1), (1, 1, 1, 0)]:
+        with pytest.raises(ValueError, match="is no mode"):
+            oracles.eigenmode_residual(*mode, RADII)
 
 
 def _entries(n_max: int, k_max: int) -> dict:
     """Assembled compression entries keyed by (i, n, k, j, m, ell)."""
-    comp = disc.assemble_disc_compression(n_max, k_max)
+    matrix = disc.assemble_disc_compression(n_max, k_max).matrix
+    labels = oracles.disc_labels(n_max, k_max)
     return {
-        (row.branch, row.angular, row.radial, col.branch, col.angular, col.radial): (
-            comp.matrix[a, b]
-        )
-        for a, row in enumerate(comp.row_modes)
-        for b, col in enumerate(comp.col_modes)
+        row + col: matrix[a, b]
+        for a, row in enumerate(labels)
+        for b, col in enumerate(labels)
     }
 
 
@@ -60,7 +49,7 @@ def test_element_trace_case():
 
 
 def test_element_interior_cases_against_quadrature():
-    rule = quadrature.gauss_legendre_unit()
+    rule = oracles.gauss_legendre_unit()
     entries = _entries(3, 3)
     for i, j in [(1, 1), (1, 2), (2, 2)]:
         for n in range(1, 4):
@@ -68,7 +57,7 @@ def test_element_interior_cases_against_quadrature():
                 for k in range(1, 4):
                     for ell in range(1, 4):
                         closed = entries[(i, n, k, j, m, ell)]
-                        oracle = quadrature.oracle_disc_element(
+                        oracle = oracles.oracle_disc_element(
                             i, n, k, j, m, ell, rule
                         )
                         assert closed == pytest.approx(oracle, abs=1e-10)
@@ -89,13 +78,16 @@ def test_assemble_matches_elements():
 
 
 def test_assemble_correction_removed_diagonal():
-    plain = disc.assemble_disc_compression(2, 4)
-    removed = disc.assemble_disc_compression(2, 4, remove_correction=True)
-    delta = plain.matrix - removed.matrix
-    expected = np.zeros_like(delta)
-    sv = 0.5 / specfun.bessel_zeros(0, 4)
-    expected[np.arange(4), 2 * 4 + np.arange(4)] = sv
-    np.testing.assert_allclose(delta, expected, atol=1e-15)
+    # The (1,1)<-(2,1) block (rows (1,1,k), columns (2,1,ell)) is the Cauchy
+    # matrix 1/(alpha_{0,k} + alpha_{0,ell}) plus the compact correction
+    # 1/(2 alpha_{0,k}) on its diagonal, which is therefore 1/alpha_{0,k}.
+    a0 = specfun.bessel_zeros(0, 4)
+    block = disc.assemble_disc_compression(2, 4).matrix[:4, 2 * 4 : 3 * 4]
+    np.testing.assert_allclose(np.diag(block), 1.0 / a0, rtol=1e-15)
+    sv = 0.5 / a0
+    np.testing.assert_allclose(
+        block - np.diag(sv), 1.0 / (a0[:, None] + a0), rtol=1e-15
+    )
     assert sv[0] == pytest.approx(0.207915, abs=1e-6)
     assert np.all(np.diff(sv) < 0)
 
@@ -106,11 +98,6 @@ def test_assemble_sparsity():
     # Blocks: (1,1) for m=1..3, (2,2) for n=1..3 (9 entries each), plus the
     # full (1,1)<-(2,1) trace block.
     assert nnz == 3 * 9 + 3 * 9 + 9
-
-
-def test_assemble_size_guard():
-    with pytest.raises(disc.CompressionSizeError):
-        disc.assemble_disc_compression(100, 100)
 
 
 # --- witness sequence ----------------------------------------------------------
@@ -308,14 +295,12 @@ def test_eigenmode_residuals_vanish():
     for branch in (1, 2):
         for sign in (+1, -1):
             for n, k in [(1, 1), (2, 3), (5, 2)]:
-                mode = disc.DiscMode(branch=branch, angular=n, radial=k, sign=sign)
-                assert disc.eigenmode_residual(mode, RADII) < 1e-10
+                assert oracles.eigenmode_residual(branch, n, k, sign, RADII) < 1e-10
 
 
 def test_eigenmode_residual_linearity():
-    mode = disc.DiscMode(branch=1, angular=2, radial=1, sign=+1)
-    base = disc.eigenmode_residual(mode, RADII, scale=1.0)
-    doubled = disc.eigenmode_residual(mode, RADII, scale=2.0)
+    base = oracles.eigenmode_residual(1, 2, 1, +1, RADII, scale=1.0)
+    doubled = oracles.eigenmode_residual(1, 2, 1, +1, RADII, scale=2.0)
     assert doubled == pytest.approx(2.0 * base, rel=1e-10, abs=1e-18)
 
 
@@ -323,29 +308,28 @@ def test_deficiency_residuals_matched_sign():
     for family in (1, 2):
         for sign in (+1, -1):
             for n in range(0, 9):
-                assert disc.deficiency_residual(n, family, sign, RADII) < 1e-10
+                assert oracles.deficiency_residual(n, family, sign, RADII) < 1e-10
 
 
 def test_deficiency_residual_wrong_sign_is_large():
-    matched = disc.deficiency_residual(0, 1, +1, RADII)
-    wrong = disc.deficiency_residual(0, 1, +1, RADII, operator_sign=-1)
+    matched = oracles.deficiency_residual(0, 1, +1, RADII)
+    wrong = oracles.deficiency_residual(0, 1, +1, RADII, operator_sign=-1)
     assert wrong > 1.0
     assert wrong > 1e6 * max(matched, 1e-300)
 
 
 def test_maximal_kernel_residuals_vanish():
     for n in range(0, 33):
-        assert aps.kernel_mode_residual(n, RADII) < 1e-10
+        assert oracles.kernel_mode_residual(n, RADII) < 1e-10
     with pytest.raises(ValueError):
-        aps.kernel_mode_residual(-1, RADII)
+        oracles.kernel_mode_residual(-1, RADII)
 
 
 def test_residual_domain_checks():
-    mode = disc.DiscMode(branch=1, angular=1, radial=1, sign=+1)
     with pytest.raises(ValueError):
-        disc.eigenmode_residual(mode, [0.0, 0.5])
+        oracles.eigenmode_residual(1, 1, 1, +1, [0.0, 0.5])
     with pytest.raises(ValueError):
-        disc.deficiency_residual(1, 3, +1, RADII)
+        oracles.deficiency_residual(1, 3, +1, RADII)
 
 
 def test_eigenvalue_multiplicities_are_four():

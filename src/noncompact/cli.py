@@ -47,7 +47,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--grid", type=_int_list, default=grid, help="comma-separated witness grid"
         )
-        p.add_argument("--trunc-factor", type=int, default=10)
+        p.add_argument(
+            "--trunc-factor",
+            type=int,
+            default=10,
+            help="witness terms per grid point, at least 1000 in all (default 10)",
+        )
 
     p = sub.add_parser("index", help="extension index ladder")
     p.add_argument(
@@ -67,7 +72,12 @@ def build_parser() -> argparse.ArgumentParser:
     for name, p in sub.choices.items():
         p.add_argument("--out", default=None, help="output path (default stdout)")
         default_format = "csv" if name == "index" else "json"
-        p.add_argument("--format", choices=("json", "csv"), default=default_format)
+        p.add_argument(
+            "--format",
+            choices=("json", "csv"),
+            default=default_format,
+            help=f"output format (default {default_format})",
+        )
     return parser
 
 
@@ -107,28 +117,21 @@ def main(argv: list[str] | None = None) -> int:
 
     as_csv = args.format == "csv"
     warnings: list[str] = []
-    # Each subcommand imports only what it uses: `index` needs no numpy.
+    # Each subcommand imports only what it uses: `index` needs no numpy.  Bad
+    # input is a ValueError from the owner of the rule it breaks.
     if args.command == "index":
         from . import aps
 
         data, ok = aps._index_ladder(args.grid)
     elif args.command in ("interval", "disc"):
-        if any(g < 1 for g in args.grid):
-            return config_error("--grid entries must be >= 1")
-        if args.trunc_factor < 1:
-            return config_error("--trunc-factor must be >= 1")
-        from . import analysis, specfun
+        from . import analysis
 
         try:
             report = analysis.witness_protocol(
                 args.command, tuple(args.grid), trunc_factor=args.trunc_factor
             )
-        except (ValueError, specfun.BracketError) as exc:
-            # A grid that is not strictly increasing, or a truncation beyond
-            # analysis.MAX_WITNESS_TERMS, is refused before any sum runs; disc
-            # rows that need zeros of J_0 beyond 2^18 (a grid point times
-            # --trunc-factor above about 83 000), before those zeros are refined.
-            return config_error(f"--grid: {exc}")
+        except ValueError as exc:
+            return config_error(str(exc))
         data = (
             analysis.witness_report_rows if as_csv else analysis.witness_report_dict
         )(report)
@@ -138,12 +141,9 @@ def main(argv: list[str] | None = None) -> int:
         from . import analysis
 
         try:
-            profiles = [
-                analysis.compression_sweep(model, tuple(args.sizes))
-                for model in analysis.MODELS
-            ]
+            profiles = analysis.compression_sweeps(tuple(args.sizes))
         except ValueError as exc:
-            return config_error(f"--sizes: {exc}")
+            return config_error(str(exc))
         ok = all(analysis.nesting_monotone(profile) for profile in profiles)
         if as_csv:
             data = analysis.sweep_report_rows(profiles)

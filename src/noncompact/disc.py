@@ -18,6 +18,8 @@ import numpy as np
 from . import specfun
 from .interval import Compression, cauchy_eigenvalues, interval_witness
 
+MULTIPLICITY_ATOL = 1e-8
+
 
 def _interior(alphas: list[np.ndarray], m: int) -> np.ndarray:
     """Branch (1,1) block coupling row n = m+1 to column m: element
@@ -138,12 +140,11 @@ def disc_image_bracket(n: int, k_rows: int) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def eigenvalue_multiplicities(
-    n_max: int, k_max: int, atol: float = 1e-8
-) -> list[int]:
+def eigenvalue_multiplicities(n_max: int, k_max: int) -> list[int]:
     """Group the squared eigenvalues of all modes with n <= n_max, k <= k_max
-    (both branches, both signs) and return the group sizes."""
+    (both branches, both signs), a new group at each gap in the zeros wider
+    than MULTIPLICITY_ATOL, and return the group sizes."""
     alphas = np.sort(np.concatenate(_zeros_by_order(n_max, k_max)))
-    ends = np.flatnonzero(np.diff(alphas) > atol) + 1
+    ends = np.flatnonzero(np.diff(alphas) > MULTIPLICITY_ATOL) + 1
     runs = np.diff(np.concatenate(([0], ends, [alphas.size])))
     return (4 * runs).tolist()  # 2 branches x 2 signs per (n,k)

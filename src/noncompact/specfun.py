@@ -17,7 +17,9 @@ the forward recurrence from bessel_j01, vectorized over the ranks not yet
 cached, refines it, and it is stored with a bracket across which J_n
 changes sign inside that interval.  The sign check takes J_n from
 the same recurrence and asks |J_n| >= J_SIGN_MARGIN sqrt(n + 1) eps
-sqrt(2/(pi x)) at both ends, over 3 times its error bound.
+sqrt(2/(pi x)) at both ends, over 3 times its error bound.  An unstorable
+rank is bad input (ValueError); a storable one that fails these checks is a
+fault (BracketError).
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
 
 
 class BracketError(RuntimeError):
-    """No sign-change bracket of J_n inside its isolating interval was found
-    for a Bessel zero."""
+    """A storable Bessel zero failed its checks: no sign-change bracket of
+    J_n inside its isolating interval was found for it."""
 
 
 def _check_order(n: int) -> None:
@@ -260,6 +262,8 @@ def bessel_zeros(n: int, k_max: int, table: BesselZeroTable | None = None) -> np
     n - 1 up to rank k_max + 1.  The ranks beyond the cached ones are refined
     together, and each is stored only if J_n changes sign across [lo, hi],
     with hi - lo <= ZERO_BRACKET_WIDTH, inside (a, b); otherwise BracketError.
+    Ranks no float bracket of that width can hold (J_0 from rank 83 444) are
+    out of range: ValueError, before any rank of order n is refined.
     """
     _check_order(n)
     if not isinstance(k_max, (int, np.integer)) or k_max < 0:
@@ -275,12 +279,11 @@ def bessel_zeros(n: int, k_max: int, table: BesselZeroTable | None = None) -> np
             below = bessel_zeros(n - 1, k_max + 1, table)
             a, b = below[ks - 1], below[ks]
         # Where a float spacing reaches half the bracket width (from 2^18 on),
-        # no float bracket of that width holds the zero strictly inside, so
-        # those ranks are refused before any rank is refined.
+        # no float bracket of that width holds the zero strictly inside.
         unstorable = np.spacing(a) >= 0.5 * ZERO_BRACKET_WIDTH
         if unstorable.any():
             k = int(ks[np.argmax(unstorable)])
-            raise BracketError(f"no sign-change bracket for zero {k} of J_{n}")
+            raise ValueError(f"no float bracket holds zero {k} of J_{n}")
         x = _newton_in_intervals(n, ks, a, b)
         # Rounding x -/+ h moves each end by at most half a spacing of x.
         h = 0.5 * ZERO_BRACKET_WIDTH - np.spacing(x)

@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import csv
 import dataclasses
 import importlib.util
@@ -375,6 +376,9 @@ def test_witness_protocol_validation():
     for grid in ((1000, 100), (100, 100), (5, 10, 10)):
         with pytest.raises(ValueError, match="strictly increasing"):
             analysis.witness_protocol("disc", grid)
+    for grid in ((0, 5), (-3,)):
+        with pytest.raises(ValueError, match="grid points must be >= 1"):
+            analysis.witness_protocol("interval", grid)
 
 
 @pytest.mark.parametrize("model", ["interval", "disc"])
@@ -565,7 +569,7 @@ def test_cli_config_errors(capsys, tmp_path, monkeypatch):
         assert cli.main(["sweep", "--sizes", sizes]) == 2, sizes
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: --sizes: ")
+        assert captured.err == f"error: sizes must lie in [1, {too_big - 1}]\n"
     assert cli.main(["bogus"]) == 2
     assert cli.main(["interval", "--grid", "abc"]) == 2
     capsys.readouterr()
@@ -581,18 +585,19 @@ def test_cli_config_errors(capsys, tmp_path, monkeypatch):
         assert cli.main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: --grid: grid must be strictly increasing\n"
+        assert captured.err == "error: grid must be strictly increasing\n"
     # A truncation past the term limit is refused before numpy is asked for an
     # image sum of that length, also just above the limit.
     assert cli.main(["interval", "--grid", "5", "--trunc-factor", "99999999999"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: --grid: truncation 499999999995 ")
+    assert captured.err.startswith("error: truncation 499999999995 ")
     above = analysis.MAX_WITNESS_TERMS + 1
     assert cli.main(["interval", "--grid", "1", "--trunc-factor", str(above)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: --grid: truncation {above} ")
+    assert captured.err.startswith(f"error: truncation {above} ")
+    # The protocol refuses a bad trunc_factor; an existing --out file is kept.
     existing = tmp_path / "existing.json"
     existing.write_text("kept\n")
     bad_inputs = (
@@ -600,6 +605,12 @@ def test_cli_config_errors(capsys, tmp_path, monkeypatch):
         ["interval", "--grid", "10", "--trunc-factor", "-3"],
         ["interval", "--grid", "10", "--trunc-factor", "0", "--out", str(existing)],
     )
+    for argv in bad_inputs:
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: trunc_factor must be >= 1"), argv
+    assert existing.read_text() == "kept\n"
     unwritable = (
         ["disc", "--grid", "10", "--out", os.path.join(missing, "x.json")],
         ["disc", "--grid", "100,1000,3000", "--out", os.path.join(missing, "x.json")],
@@ -611,24 +622,117 @@ def test_cli_config_errors(capsys, tmp_path, monkeypatch):
         raise AssertionError("witness_protocol ran before a configuration error")
 
     monkeypatch.setattr(analysis, "witness_protocol", no_protocol)
-    for argv in bad_inputs + unwritable:
+    for argv in unwritable:
         assert cli.main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == ""
-        prefix = "error: --out: " if argv in unwritable else "error: "
-        assert captured.err.startswith(prefix), argv
-    assert existing.read_text() == "kept\n"
+        assert captured.err.startswith("error: --out: "), argv
     assert not os.path.exists(missing)
 
 
 def test_cli_grid_beyond_sign_change_brackets(capsys, monkeypatch):
     # 10 * 8400 ranks of J_0 reach beyond 2^18, where no float bracket of
-    # width ZERO_BRACKET_WIDTH holds the zero strictly inside.
+    # width ZERO_BRACKET_WIDTH holds the zero strictly inside: bad input,
+    # refused by specfun.bessel_zeros.
     monkeypatch.setattr(specfun, "_DEFAULT_TABLE", specfun.BesselZeroTable())
     assert cli.main(["disc", "--grid", "8400"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: --grid: no sign-change bracket")
+    assert captured.err == "error: no float bracket holds zero 83444 of J_0\n"
+
+
+def test_cli_raises_a_failed_sign_check(capsys, monkeypatch):
+    # A storable zero that fails its sign check is a fault of the program, not
+    # bad input: cli.main raises BracketError rather than exit with code 2.
+    monkeypatch.setattr(specfun, "_DEFAULT_TABLE", specfun.BesselZeroTable())
+    monkeypatch.setattr(specfun, "J_SIGN_MARGIN", 1e12)
+    with pytest.raises(specfun.BracketError):
+        cli.main(["disc", "--grid", "5"])
+    assert capsys.readouterr().out == ""
+
+
+def _grid_arg(points):
+    # The = form keeps a leading minus sign from reading as an option.
+    return "--grid=" + ",".join(map(str, points))
+
+
+_GRID_BELOW_ONE = st.lists(st.integers(-(10**6), 10**6), max_size=3).flatmap(
+    lambda rest: st.integers(-(10**6), 0).flatmap(
+        lambda low: st.permutations([low, *rest])
+    )
+)
+_GRID_NOT_INCREASING = st.lists(st.integers(1, 10**6), min_size=2, max_size=4).filter(
+    lambda grid: grid != sorted(set(grid))
+)
+_GRID = st.lists(st.integers(1, 10**6), min_size=1, max_size=4, unique=True).map(sorted)
+_BAD_WITNESS = st.one_of(
+    st.tuples(st.one_of(_GRID_BELOW_ONE, _GRID_NOT_INCREASING), st.integers(1, 20)),
+    st.tuples(_GRID, st.integers(max_value=0)),
+    _GRID.flatmap(
+        lambda grid: st.tuples(
+            st.just(grid),
+            st.integers(analysis.MAX_WITNESS_TERMS // grid[-1] + 1, 10**12),
+        )
+    ),
+)
+
+
+def _sizes_one_disc_dimension(n_max):
+    # Every size in [8 n_max^2, 8 (n_max + 1)^2) maps to n_max (sizes below 8
+    # map to n_max = 1 too).
+    low, high = (1 if n_max == 1 else 8 * n_max**2), 8 * (n_max + 1) ** 2 - 1
+    return st.lists(st.integers(low, high), min_size=2, max_size=3, unique=True)
+
+
+_BAD_SIZES = st.one_of(
+    st.lists(st.integers(1, 2**20), max_size=3).flatmap(
+        lambda rest: st.one_of(
+            st.integers(max_value=0), st.integers(min_value=2**20 + 1)
+        ).map(lambda out: sorted({out, *rest}))
+    ),
+    st.integers(1, 361).flatmap(_sizes_one_disc_dimension).map(sorted),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    argv=st.one_of(
+        st.tuples(st.sampled_from(["interval", "disc"]), _BAD_WITNESS).map(
+            lambda t: [t[0], _grid_arg(t[1][0]), f"--trunc-factor={t[1][1]}"]
+        ),
+        _BAD_SIZES.map(lambda sizes: ["sweep", "--sizes=" + ",".join(map(str, sizes))]),
+    ),
+    csv_format=st.booleans(),
+)
+@example(argv=["disc", "--grid=0,5"], csv_format=False)
+@example(argv=["interval", "--grid=10", "--trunc-factor=0"], csv_format=False)
+@example(argv=["sweep", "--sizes=8,16"], csv_format=False)
+def test_cli_refuses_bad_input_before_any_work(argv, csv_format):
+    # Every rule on the input has one owner (witness_protocol, compression_sweeps
+    # or specfun.bessel_zeros), which raises ValueError before the work it
+    # guards; cli.main turns that into exit code 2 and one error line.
+    def no_work(*args, **kwargs):
+        raise AssertionError("a witness sum or a sweep spectrum ran on bad input")
+
+    argv = argv + ["--format", "csv"] if csv_format else argv
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        for module, name in (
+            (interval, "interval_witness"),
+            (interval, "interval_image_coefficients"),
+            (interval, "interval_singular_values"),
+            (disc, "disc_image_coefficients"),
+            (disc, "disc_image_bracket"),
+            (disc, "disc_singular_values"),
+            (specfun, "bessel_zeros"),
+        ):
+            mp.setattr(module, name, no_work)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    assert code == 2, argv
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
 
 
 def _benchmark_gates():

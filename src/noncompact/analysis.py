@@ -1,11 +1,11 @@
 """Model-agnostic non-compactness evidence: singular-value sweeps over nested
-compressions, the three-premise witness protocol, and report serialization.
+compressions, the four-premise witness protocol, and report serialization.
 What each of these takes from a model is one entry of MODELS.
 
 The witness verdict is 'pass' iff on the requested grid the witness norms
-stay bounded, the image-norm lower bounds clear the model's bound,
-and (for grids with at least two points) the pairings decrease strictly with
-the final value below the decay threshold.
+stay bounded, the image-norm lower bounds clear the model's bound, the
+pairings decrease strictly to below the decay threshold (on two or more
+points) and stay within the model's upper bounds, if any.  A NaN fails each.
 """
 
 from __future__ import annotations
@@ -47,13 +47,6 @@ def singular_values(matrix: np.ndarray) -> np.ndarray:
         raise ValueError("matrix must be 2-dimensional")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix must be finite")
-    if np.iscomplexobj(a):
-        # A global unit phase does not change singular values; use the
-        # cheaper real decomposition for purely real/imaginary matrices.
-        if not np.any(a.imag):
-            a = a.real
-        elif not np.any(a.real):
-            a = a.imag
     return np.linalg.svd(a, compute_uv=False)
 
 
@@ -92,9 +85,9 @@ class Model:
     bound: Callable[[int], float]
     pairing_indices: tuple[int, ...]
     decay_threshold: float
-    # CSV names: the grid point, image rows and bound columns, and the prefix
-    # of the pairing columns pairing_{prefix}{index}.
-    csv_names: tuple[str, str, str, str]
+    # CSV names: the grid point and bound columns, and the prefix of the
+    # pairing columns pairing_{prefix}{index}.
+    csv_names: tuple[str, str, str]
     # Size -> all singular values, descending, of the compression, computed
     # from its structure without assembling it.
     sweep_spectrum: Callable[[int], np.ndarray]
@@ -130,7 +123,7 @@ MODELS = {
         # Fourier indices p.
         pairing_indices=(0, 1, 5),
         decay_threshold=0.05,
-        csv_names=("m", "K", "bound_1_over_4pi2", "p"),
+        csv_names=("m", "bound_1_over_4pi2", "p"),
         sweep_spectrum=lambda size: _interval.interval_singular_values(size),
         sweep_dims=lambda size: size,
     ),
@@ -141,7 +134,7 @@ MODELS = {
         # Radial indices k.
         pairing_indices=(1, 2, 3),
         decay_threshold=0.1,
-        csv_names=("n", "K_rows", "bound_paper", "k"),
+        csv_names=("n", "bound_paper", "k"),
         sweep_spectrum=lambda size: _disc.disc_singular_values(*disc_sweep_dims(size)),
         sweep_dims=disc_sweep_dims,
     ),
@@ -154,8 +147,15 @@ def _model(name: str) -> Model:
     return MODELS[name]
 
 
+def _require_integers(name: str, values) -> None:
+    for value in values:
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} {value!r} is not an integer")
+
+
 def _sweep_model(model: str, sizes: tuple[int, ...]) -> Model:
     spec = _model(model)
+    _require_integers("size", sizes)
     if list(sizes) != sorted(set(sizes)):
         raise ValueError("sizes must be strictly increasing")
     if sizes and not 1 <= sizes[0] <= sizes[-1] <= MAX_SWEEP_SIZE:
@@ -220,14 +220,16 @@ def witness_protocol(
     grid: tuple[int, ...],
     trunc_factor: int = DEFAULT_TRUNC_FACTOR,
 ) -> WitnessReport:
-    """Run the three-premise non-compactness test on the given grid."""
+    """Run the four-premise non-compactness test on the given grid."""
     spec = _model(model)
     if not grid:
         raise ValueError("grid must be nonempty")
+    _require_integers("grid point", grid)
     if min(grid) < 1:
         raise ValueError(f"grid points must be >= 1, got {min(grid)}")
     if list(grid) != sorted(set(grid)):
         raise ValueError("grid must be strictly increasing")
+    _require_integers("trunc_factor", (trunc_factor,))
     if trunc_factor < 1:
         raise ValueError(f"trunc_factor must be >= 1, got {trunc_factor}")
     truncs = [max(trunc_factor * point, MIN_TRUNCATION) for point in grid]
@@ -237,33 +239,31 @@ def witness_protocol(
             f"truncation {max(truncs)} (trunc_factor x grid point) exceeds "
             f"{MAX_WITNESS_TERMS} terms"
         )
-    indices = spec.pairing_indices
-
-    xi_closed: list[float] = []
-    zeta_sq: list[float] = []
-    bounds: list[float] = []
-    pairings: list[list[float]] = []
-    upper: list[list[float]] = []
-
+    points = []
     for point, trunc in zip(grid, truncs):
-        xi_closed.append(spec.witness(point))
+        xi = spec.witness(point)
         try:
-            zeta, pairing, upper_row = spec.image(point, trunc, indices)
+            zeta, pairing, upper_row = spec.image(point, trunc, spec.pairing_indices)
         except ValueError as exc:  # e.g. specfun refusing a Bessel-zero rank
             raise ValueError(f"grid point {point} (truncation {trunc}): {exc}") from exc
-        bounds.append(spec.bound(point))
-        pairings.append(pairing)
-        if upper_row is not None:
-            upper.append(upper_row)
-        zeta_sq.append(zeta**2)
-
-    bounded = all(closed <= XI_NORM_CAP for closed in xi_closed)
-    above_bound = all(z >= b for z, b in zip(zeta_sq, bounds))
+        points.append((xi, zeta**2, spec.bound(point), pairing, upper_row))
+    xi_closed, zeta_sq, bounds, pairings, upper = map(list, zip(*points))
+    bounded = all(xi <= XI_NORM_CAP for xi in xi_closed)
+    below = [i for i, (z, b) in enumerate(zip(zeta_sq, bounds)) if not z >= b]
+    decays = len(grid) < 2 or all(
+        all(b < a for a, b in zip(col, col[1:])) and col[-1] < spec.decay_threshold
+        for col in zip(*pairings)
+    )
+    within_upper = upper[0] is None or all(
+        p <= u for row, urow in zip(pairings, upper) for p, u in zip(row, urow)
+    )
+    verdict = "pass" if bounded and not below and decays and within_upper else "fail"
     # Truncation only lowers zeta (positive terms); xi is the full norm.
     warnings = [
-        f"zeta^2 {z:.3g} is below the model bound {b:.3g} at grid point {point} "
-        f"with truncation {trunc}; a larger --trunc-factor can only raise zeta"
-        for point, trunc, z, b in zip(grid, truncs, zeta_sq, bounds) if z < b
+        f"zeta^2 {zeta_sq[i]:.3g} is below the model bound {bounds[i]:.3g} at grid "
+        f"point {grid[i]} with truncation {truncs[i]}; a larger --trunc-factor can "
+        "only raise zeta"
+        for i in below
     ]
     non_informative = len(grid) < 2 or any(b == 0.0 for b in bounds)
     if non_informative:
@@ -271,19 +271,6 @@ def witness_protocol(
             "verdict is non-informative: the grid has fewer than two points "
             "or a model bound is 0"
         )
-    decay_ok = True
-    if len(grid) >= 2:
-        for j in range(len(indices)):
-            col = [row[j] for row in pairings]
-            if any(b >= a for a, b in zip(col, col[1:])):
-                decay_ok = False
-            if col[-1] >= spec.decay_threshold:
-                decay_ok = False
-    upper_ok = all(
-        p <= u for row, urow in zip(pairings, upper) for p, u in zip(row, urow)
-    )
-
-    verdict = "pass" if (bounded and above_bound and decay_ok and upper_ok) else "fail"
     return WitnessReport(
         model=model,
         grid=list(grid),
@@ -291,9 +278,9 @@ def witness_protocol(
         xi_norm_sq_closed=xi_closed,
         zeta_lower_sq=zeta_sq,
         model_bound=bounds,
-        pairing_indices=list(indices),
+        pairing_indices=list(spec.pairing_indices),
         pairings=pairings,
-        pairing_upper_bounds=upper or None,
+        pairing_upper_bounds=None if upper[0] is None else upper,
         verdict=verdict,
         non_informative=non_informative,
         warnings=warnings,
@@ -305,13 +292,12 @@ def witness_protocol(
 
 
 def witness_report_rows(report: WitnessReport) -> list[dict]:
-    point_name, rows_name, bound_name, prefix = MODELS[report.model].csv_names
+    point_name, bound_name, prefix = MODELS[report.model].csv_names
     rows = []
     for i, point in enumerate(report.grid):
         row = {
             point_name: point,
             "L": report.truncations[i],
-            rows_name: report.truncations[i],
             "xi_norm_sq_closed": report.xi_norm_sq_closed[i],
             "zeta_norm_lower_sq": report.zeta_lower_sq[i],
             bound_name: report.model_bound[i],

@@ -50,8 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--trunc-factor",
             type=int,
-            help="witness terms per grid point, at least 1000 in all "
-            "(default analysis.DEFAULT_TRUNC_FACTOR)",
+            help="witness terms per grid point, at least analysis.MIN_TRUNCATION "
+            "in all (default analysis.DEFAULT_TRUNC_FACTOR)",
         )
 
     p = sub.add_parser("index", help="extension index ladder")

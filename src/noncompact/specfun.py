@@ -240,6 +240,8 @@ def default_zero_table() -> BesselZeroTable:
 
 def bessel_zero(n: int, k: int) -> float:
     """k-th positive zero of J_n, cached with a sign-change bracket."""
+    if not isinstance(n, (int, np.integer)) or n < 0:
+        raise ValueError(f"order must be a nonnegative integer, got {n!r}")
     if not isinstance(k, (int, np.integer)) or k < 1:
         raise ValueError(f"rank k must be a positive integer, got {k!r}")
     cached = _DEFAULT_TABLE.get(n, k)
@@ -259,7 +261,7 @@ def bessel_zeros(n: int, k_max: int) -> np.ndarray:
     float bracket of that width can hold (J_0 from rank 83 444) are out of
     range: ValueError, before any rank of that order is refined.
     """
-    if n < 0 or n != int(n):
+    if not isinstance(n, (int, np.integer)) or n < 0:
         raise ValueError(f"order must be a nonnegative integer, got {n!r}")
     if not isinstance(k_max, (int, np.integer)) or k_max < 0:
         raise ValueError(f"k_max must be a nonnegative integer, got {k_max!r}")

@@ -50,7 +50,7 @@ def test_singular_values_phase_invariance():
     sv = analysis.singular_values(a)
     sv_rot = analysis.singular_values(np.exp(0.3j) * a)
     np.testing.assert_allclose(sv, sv_rot, atol=1e-12)
-    # Purely imaginary fast path agrees with the generic path.
+    # A purely imaginary matrix has the singular values of numpy's own SVD.
     b = 1j * rng.normal(size=(15, 15))
     np.testing.assert_allclose(
         analysis.singular_values(b), np.linalg.svd(b, compute_uv=False), atol=1e-12
@@ -98,6 +98,10 @@ def test_sweep_validation():
         analysis.compression_sweep("interval", sizes=(16, 8))
     with pytest.raises(ValueError):
         analysis.compression_sweep("disc", sizes=(0, 5))
+    # A float size is refused by name, not rounded to a dimension.
+    for model in analysis.MODELS:
+        with pytest.raises(ValueError, match="size 8.5 is not an integer"):
+            analysis.compression_sweep(model, sizes=(8.5,))
 
 
 def test_disc_sweep_rejects_repeated_dims():
@@ -372,6 +376,42 @@ def test_witness_protocol_truncation_warning(monkeypatch):
         f"truncation {point}; a larger --trunc-factor can only raise zeta"
         for point, z in zip((1000, 2000), report.zeta_lower_sq)
     ]
+    # A bound between the two points' zeta^2 fails the verdict, and only the
+    # point below it is warned.
+    low, high = report.zeta_lower_sq
+    assert low < 0.0415 < high
+    _raise_bound(monkeypatch, "interval", 0.0415)
+    report = analysis.witness_protocol("interval", (1000, 2000), trunc_factor=1)
+    assert report.verdict == "fail"
+    assert report.warnings == [
+        f"zeta^2 {low:.3g} is below the model bound 0.0415 at grid point 1000 with "
+        "truncation 1000; a larger --trunc-factor can only raise zeta"
+    ]
+
+
+@pytest.mark.parametrize(
+    "model, slot",
+    [("interval", "xi"), ("interval", "zeta"), ("interval", "pairing"), ("disc", "upper")],
+)
+def test_witness_protocol_fails_on_a_nan(monkeypatch, model, slot):
+    # Each premise is phrased so that a NaN fails it: one NaN at the last grid
+    # point of a passing run fails the verdict.  The interval model has no
+    # upper bounds, so there a NaN pairing meets only the decay premise.
+    spec, nan = analysis.MODELS[model], float("nan")
+
+    def witness(point):
+        return nan if (slot, point) == ("xi", 1000) else spec.witness(point)
+
+    def image(point, trunc, indices):
+        values = dict(zip(("zeta", "pairing", "upper"), spec.image(point, trunc, indices)))
+        if point == 1000 and slot in values:
+            values[slot] = nan if slot == "zeta" else [*values[slot][:-1], nan]
+        return values["zeta"], values["pairing"], values["upper"]
+
+    assert analysis.witness_protocol(model, (100, 1000)).verdict == "pass"
+    nan_model = dataclasses.replace(spec, witness=witness, image=image)
+    monkeypatch.setitem(analysis.MODELS, model, nan_model)
+    assert analysis.witness_protocol(model, (100, 1000)).verdict == "fail"
 
 
 def test_witness_protocol_validation():
@@ -385,6 +425,12 @@ def test_witness_protocol_validation():
     for grid in ((0, 5), (-3,)):
         with pytest.raises(ValueError, match="grid points must be >= 1"):
             analysis.witness_protocol("interval", grid)
+    # Non-integers are refused by name, not run at a float truncation.
+    for model in analysis.MODELS:
+        with pytest.raises(ValueError, match="grid point 1000.0 is not an integer"):
+            analysis.witness_protocol(model, (100, 1000.0))
+        with pytest.raises(ValueError, match="trunc_factor 2.5 is not an integer"):
+            analysis.witness_protocol(model, (100,), trunc_factor=2.5)
 
 
 @pytest.mark.parametrize("model", ["interval", "disc"])
@@ -421,39 +467,29 @@ def test_disc_protocol_runs_one_bracket_per_grid_point(monkeypatch):
 # --- serialization -----------------------------------------------------------------
 
 
-def test_witness_report_rows_schema():
-    report = analysis.witness_protocol("interval", (20, 60), trunc_factor=50)
+@pytest.mark.parametrize(
+    "model, header",
+    [
+        (
+            "interval",
+            "m,L,xi_norm_sq_closed,zeta_norm_lower_sq,bound_1_over_4pi2,"
+            "pairing_p0,pairing_p1,pairing_p5,verdict",
+        ),
+        (
+            "disc",
+            "n,L,xi_norm_sq_closed,zeta_norm_lower_sq,bound_paper,"
+            "pairing_k1,pairing_k2,pairing_k3,verdict",
+        ),
+    ],
+    ids=["interval", "disc"],
+)
+def test_witness_report_rows_schema(model, header):
+    # The truncation is one column, L, on both models.
+    report = analysis.witness_protocol(model, (20, 60), trunc_factor=50)
     rows = analysis.witness_report_rows(report)
-    assert list(rows[0].keys()) == [
-        "m",
-        "L",
-        "K",
-        "xi_norm_sq_closed",
-        "zeta_norm_lower_sq",
-        "bound_1_over_4pi2",
-        "pairing_p0",
-        "pairing_p1",
-        "pairing_p5",
-        "verdict",
-    ]
-    assert cli._rows_to_csv_text(rows).startswith("m,L,K,")
-
-
-def test_disc_report_rows_schema():
-    report = analysis.witness_protocol("disc", (5, 10), trunc_factor=10)
-    rows = analysis.witness_report_rows(report)
-    assert list(rows[0].keys()) == [
-        "n",
-        "L",
-        "K_rows",
-        "xi_norm_sq_closed",
-        "zeta_norm_lower_sq",
-        "bound_paper",
-        "pairing_k1",
-        "pairing_k2",
-        "pairing_k3",
-        "verdict",
-    ]
+    assert ",".join(rows[0]) == header
+    assert cli._rows_to_csv_text(rows).splitlines()[0] == header
+    assert [row["L"] for row in rows] == report.truncations
 
 
 @pytest.mark.parametrize("model", ["interval", "disc"])
@@ -525,7 +561,7 @@ def test_cli_interval_csv(capsys):
         ["interval", "--grid", "20,60", "--trunc-factor", "50", "--format", "csv"]
     )
     assert code in (0, 1)
-    assert capsys.readouterr().out.startswith("m,L,K,")
+    assert capsys.readouterr().out.startswith("m,L,xi_norm_sq_closed,")
 
 
 def test_cli_sweep(tmp_path):

@@ -602,13 +602,17 @@ def test_zero_argument_errors(zero_table):
         specfun.bessel_zero(0, 0)
     with pytest.raises(ValueError):
         specfun.bessel_zero(-2, 1)
-    # A non-integer rank is refused on a cold table and after its ranks are
-    # cached alike, where it used to index the cached array.
+    # A non-integer rank or order is refused on a cold table and after its
+    # zeros are cached alike, where a rank used to index the cached array and
+    # an order equal to a cached one (2.0) found its row.
     for _ in range(2):
         for k in (2.5, 2.0, "3"):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="rank k"):
                 specfun.bessel_zero(0, k)
-        specfun.bessel_zeros(0, 5)
+        for n in (2.5, 2.0, "3"):
+            with pytest.raises(ValueError, match="order"):
+                specfun.bessel_zero(n, 1)
+        specfun.bessel_zeros(3, 5)
     assert specfun.bessel_zero(0, np.int64(3)) == zero_table.get(0, 3)
 
 
@@ -619,6 +623,10 @@ def test_bessel_zeros_count_errors(zero_table):
     for k_max in (-1, -5, 2.0, 2.5, "3"):
         with pytest.raises(ValueError):
             specfun.bessel_zeros(0, k_max)
+    # The order follows the same rule: an integer type, >= 0.
+    for n in (-1, 2.0, 2.5, "3"):
+        with pytest.raises(ValueError, match="order"):
+            specfun.bessel_zeros(n, 3)
     assert specfun.bessel_zeros(0, 0).shape == (0,)
     assert specfun.bessel_zeros(0, np.int64(3)).shape == (3,)
 

@@ -18,14 +18,17 @@ import numpy as np
 
 from . import disc as _disc
 from . import interval as _interval
+from .specfun import as_integer
 
 SWEEP_THRESHOLDS = (0.01, 0.05, 0.1, 0.25)
-DEFAULT_TRUNC_FACTOR = 10
+# Truncation only lowers zeta; at this factor zeta^2 stays at least 3.27 times
+# its bound on the interval (m = 1) and 16.9 times on the disc (n = 100).
+TRUNC_FACTOR = 10
 MIN_TRUNCATION = 1000
 NESTING_TOL = 1e-10
 INTERVAL_BOUND = 1.0 / (4.0 * math.pi**2)
 XI_NORM_CAP = 1.01
-# Peak RSS of `noncompact interval --grid 1 --trunc-factor N` grows by under
+# Peak RSS of `noncompact interval --grid N/10` (N terms) grows by under
 # 100 bytes per term (85 MiB at N = 1e6, 251 MiB at 4e6 and 914 MiB at 1.6e7:
 # 58 bytes per term, set by the truncated image sum; 1.84 GiB at this limit
 # by linear extrapolation), so this many terms need under 3 GiB.
@@ -147,16 +150,10 @@ def _model(name: str) -> Model:
     return MODELS[name]
 
 
-def _require_integers(name: str, values) -> None:
-    for value in values:
-        if not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} {value!r} is not an integer")
-
-
 def _sweep_model(model: str, sizes: tuple[int, ...]) -> Model:
     spec = _model(model)
-    _require_integers("size", sizes)
-    if list(sizes) != sorted(set(sizes)):
+    sizes = [as_integer("size", size) for size in sizes]
+    if sizes != sorted(set(sizes)):
         raise ValueError("sizes must be strictly increasing")
     if sizes and not 1 <= sizes[0] <= sizes[-1] <= MAX_SWEEP_SIZE:
         raise ValueError(f"sizes must lie in [1, {MAX_SWEEP_SIZE}]")
@@ -215,29 +212,23 @@ class WitnessReport:
     warnings: list[str] = field(default_factory=list)
 
 
-def witness_protocol(
-    model: str,
-    grid: tuple[int, ...],
-    trunc_factor: int = DEFAULT_TRUNC_FACTOR,
-) -> WitnessReport:
-    """Run the four-premise non-compactness test on the given grid."""
+def witness_protocol(model: str, grid: tuple[int, ...]) -> WitnessReport:
+    """Run the four-premise non-compactness test on the given grid, summing
+    L = max(TRUNC_FACTOR * point, MIN_TRUNCATION) image rows per point."""
     spec = _model(model)
     if not grid:
         raise ValueError("grid must be nonempty")
-    _require_integers("grid point", grid)
+    grid = [as_integer("grid point", point) for point in grid]
     if min(grid) < 1:
         raise ValueError(f"grid points must be >= 1, got {min(grid)}")
-    if list(grid) != sorted(set(grid)):
+    if grid != sorted(set(grid)):
         raise ValueError("grid must be strictly increasing")
-    _require_integers("trunc_factor", (trunc_factor,))
-    if trunc_factor < 1:
-        raise ValueError(f"trunc_factor must be >= 1, got {trunc_factor}")
-    truncs = [max(trunc_factor * point, MIN_TRUNCATION) for point in grid]
-    if max(truncs) > MAX_WITNESS_TERMS:
+    truncs = [max(TRUNC_FACTOR * point, MIN_TRUNCATION) for point in grid]
+    if truncs[-1] > MAX_WITNESS_TERMS:
         # Refused before any sum of that length runs.
         raise ValueError(
-            f"truncation {max(truncs)} (trunc_factor x grid point) exceeds "
-            f"{MAX_WITNESS_TERMS} terms"
+            f"grid point {grid[-1]} (truncation {truncs[-1]}): exceeds "
+            f"{MAX_WITNESS_TERMS} witness terms"
         )
     points = []
     for point, trunc in zip(grid, truncs):
@@ -261,8 +252,7 @@ def witness_protocol(
     # Truncation only lowers zeta (positive terms); xi is the full norm.
     warnings = [
         f"zeta^2 {zeta_sq[i]:.3g} is below the model bound {bounds[i]:.3g} at grid "
-        f"point {grid[i]} with truncation {truncs[i]}; a larger --trunc-factor can "
-        "only raise zeta"
+        f"point {grid[i]} with truncation {truncs[i]}"
         for i in below
     ]
     non_informative = len(grid) < 2 or any(b == 0.0 for b in bounds)
@@ -273,7 +263,7 @@ def witness_protocol(
         )
     return WitnessReport(
         model=model,
-        grid=list(grid),
+        grid=grid,
         truncations=truncs,
         xi_norm_sq_closed=xi_closed,
         zeta_lower_sq=zeta_sq,

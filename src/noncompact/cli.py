@@ -47,12 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--grid", type=_int_list, default=grid, help="comma-separated witness grid"
         )
-        p.add_argument(
-            "--trunc-factor",
-            type=int,
-            help="witness terms per grid point, at least analysis.MIN_TRUNCATION "
-            "in all (default analysis.DEFAULT_TRUNC_FACTOR)",
-        )
 
     p = sub.add_parser("index", help="extension index ladder")
     p.add_argument(
@@ -126,12 +120,8 @@ def main(argv: list[str] | None = None) -> int:
     elif args.command in ("interval", "disc"):
         from . import analysis
 
-        if args.trunc_factor is None:  # the protocol's own default
-            args.trunc_factor = analysis.DEFAULT_TRUNC_FACTOR
         try:
-            report = analysis.witness_protocol(
-                args.command, tuple(args.grid), trunc_factor=args.trunc_factor
-            )
+            report = analysis.witness_protocol(args.command, tuple(args.grid))
         except ValueError as exc:
             return config_error(str(exc))
         data = (

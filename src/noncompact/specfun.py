@@ -238,12 +238,19 @@ def default_zero_table() -> BesselZeroTable:
     return _DEFAULT_TABLE
 
 
+def as_integer(name: str, value) -> int:
+    """value as an int; ValueError unless it is of an integer type other than
+    bool.  The rule for grid points, sizes, orders and ranks."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} {value!r} is not an integer")
+    return int(value)
+
+
 def bessel_zero(n: int, k: int) -> float:
     """k-th positive zero of J_n, cached with a sign-change bracket."""
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError(f"order must be a nonnegative integer, got {n!r}")
-    if not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError(f"rank k must be a positive integer, got {k!r}")
+    n, k = as_integer("order", n), as_integer("rank k", k)
+    if n < 0 or k < 1:
+        raise ValueError(f"order must be >= 0 and rank k >= 1, got {n} and {k}")
     cached = _DEFAULT_TABLE.get(n, k)
     return cached if cached is not None else float(bessel_zeros(n, k)[k - 1])
 
@@ -261,10 +268,9 @@ def bessel_zeros(n: int, k_max: int) -> np.ndarray:
     float bracket of that width can hold (J_0 from rank 83 444) are out of
     range: ValueError, before any rank of that order is refined.
     """
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError(f"order must be a nonnegative integer, got {n!r}")
-    if not isinstance(k_max, (int, np.integer)) or k_max < 0:
-        raise ValueError(f"k_max must be a nonnegative integer, got {k_max!r}")
+    n, k_max = as_integer("order", n), as_integer("k_max", k_max)
+    if n < 0 or k_max < 0:
+        raise ValueError(f"order and k_max must be >= 0, got {n} and {k_max}")
     table, need = _DEFAULT_TABLE.rows, k_max + n  # order j needs need - j ranks
     low = n
     while low >= 0 and table.setdefault(low, np.empty((3, 0))).shape[1] < need - low:

@@ -64,7 +64,7 @@ def test_criterion_1_disc_elements_match_oracle():
 def test_criterion_2_interval_witness_bound():
     start = time.perf_counter()
     grid = (100, 1000, 10000)
-    report = analysis.witness_protocol("interval", grid, trunc_factor=10)
+    report = analysis.witness_protocol("interval", grid)
     bound = 1.0 / (4.0 * math.pi**2)
     lower_ok = all(z >= bound for z in report.zeta_lower_sq)
     norm_ok = all(
@@ -93,7 +93,7 @@ def test_criterion_2_interval_witness_bound():
 def test_criterion_3_disc_witness_bound():
     start = time.perf_counter()
     grid = (100, 1000)
-    report = analysis.witness_protocol("disc", grid, trunc_factor=10)
+    report = analysis.witness_protocol("disc", grid)
     bounds = [(n - 1) / (4.0 * n * math.pi**2) for n in grid]
     lower_ok = all(z >= b for z, b in zip(report.zeta_lower_sq, bounds))
     upper_ok = all(

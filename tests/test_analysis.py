@@ -1,3 +1,4 @@
+import argparse
 import ast
 import contextlib
 import csv
@@ -98,10 +99,12 @@ def test_sweep_validation():
         analysis.compression_sweep("interval", sizes=(16, 8))
     with pytest.raises(ValueError):
         analysis.compression_sweep("disc", sizes=(0, 5))
-    # A float size is refused by name, not rounded to a dimension.
+    # A float or bool size is refused by name, not rounded to a dimension.
     for model in analysis.MODELS:
         with pytest.raises(ValueError, match="size 8.5 is not an integer"):
             analysis.compression_sweep(model, sizes=(8.5,))
+        with pytest.raises(ValueError, match="size True is not an integer"):
+            analysis.compression_sweep(model, sizes=(True, 8))
 
 
 def test_disc_sweep_rejects_repeated_dims():
@@ -326,9 +329,9 @@ def test_cauchy_eigenvalues_refuse_overflowing_nodes(x):
 
 
 def test_witness_protocol_interval_small_grid():
-    report = analysis.witness_protocol("interval", (20, 60), trunc_factor=50)
+    report = analysis.witness_protocol("interval", (20, 60))
     assert report.model == "interval"
-    assert report.truncations == [1000, 3000]
+    assert report.truncations == [1000, 1000]
     assert not report.non_informative
     assert all(z >= b for z, b in zip(report.zeta_lower_sq, report.model_bound))
     for j in range(len(report.pairing_indices)):
@@ -336,7 +339,7 @@ def test_witness_protocol_interval_small_grid():
 
 
 def test_witness_protocol_singleton_grid_non_informative():
-    report = analysis.witness_protocol("interval", (50,), trunc_factor=100)
+    report = analysis.witness_protocol("interval", (50,))
     assert report.non_informative
     # The boundedness and lower-bound premises alone still pass.
     assert report.verdict == "pass"
@@ -361,32 +364,46 @@ def _raise_bound(monkeypatch, model: str, bound: float) -> None:
 
 
 def test_witness_protocol_truncation_warning(monkeypatch):
-    # L = 1000 terms at m = 1000 truncate only zeta; the boundedness premise
+    # L = 10000 terms at m = 1000 truncate only zeta; the boundedness premise
     # reads the full xi norm: no warning while zeta clears the bound.
-    report = analysis.witness_protocol("interval", (1000,), trunc_factor=1)
+    report = analysis.witness_protocol("interval", (1000,))
     assert report.verdict == "pass"
     assert not any("zeta" in w for w in report.warnings)
     # A bound above zeta^2 fails the premise, and the warning names the point
     # and the truncation.
     _raise_bound(monkeypatch, "interval", 10.0)
-    report = analysis.witness_protocol("interval", (1000, 2000), trunc_factor=1)
+    report = analysis.witness_protocol("interval", (1000, 2000))
     assert report.verdict == "fail"
     assert report.warnings == [
         f"zeta^2 {z:.3g} is below the model bound 10 at grid point {point} with "
-        f"truncation {point}; a larger --trunc-factor can only raise zeta"
+        f"truncation {10 * point}"
         for point, z in zip((1000, 2000), report.zeta_lower_sq)
     ]
-    # A bound between the two points' zeta^2 fails the verdict, and only the
-    # point below it is warned.
+    # A bound between the two points' zeta^2 (0.111818 and 0.111950 at
+    # L = 10000 and 20000) fails the verdict, and only the point below it is
+    # warned.
     low, high = report.zeta_lower_sq
-    assert low < 0.0415 < high
-    _raise_bound(monkeypatch, "interval", 0.0415)
-    report = analysis.witness_protocol("interval", (1000, 2000), trunc_factor=1)
+    assert low < 0.1119 < high
+    _raise_bound(monkeypatch, "interval", 0.1119)
+    report = analysis.witness_protocol("interval", (1000, 2000))
     assert report.verdict == "fail"
     assert report.warnings == [
-        f"zeta^2 {low:.3g} is below the model bound 0.0415 at grid point 1000 with "
-        "truncation 1000; a larger --trunc-factor can only raise zeta"
+        f"zeta^2 {low:.3g} is below the model bound 0.112 at grid point 1000 with "
+        "truncation 10000"
     ]
+
+
+@pytest.mark.parametrize(
+    "model, points, margin",
+    [("interval", (1, 2, 100, 10**4), 3.0), ("disc", (2, 100, 3000), 15.0)],
+)
+def test_truncation_rule_keeps_zeta_clear_of_the_bound(model, points, margin):
+    # The fixed rule L = max(10 point, 1000) keeps the truncated zeta^2 well
+    # above the model bound: measured at least 3.27 times on the interval
+    # (lowest at m = 1) and 16.9 times on the disc (lowest at n = 100).
+    for point in points:
+        report = analysis.witness_protocol(model, (point,))
+        assert report.zeta_lower_sq[0] >= margin * report.model_bound[0], point
 
 
 @pytest.mark.parametrize(
@@ -425,24 +442,18 @@ def test_witness_protocol_validation():
     for grid in ((0, 5), (-3,)):
         with pytest.raises(ValueError, match="grid points must be >= 1"):
             analysis.witness_protocol("interval", grid)
-    # Non-integers are refused by name, not run at a float truncation.
+    # Non-integers, bool included, are refused by name, not run at a float
+    # truncation or as grid point 1.
     for model in analysis.MODELS:
         with pytest.raises(ValueError, match="grid point 1000.0 is not an integer"):
             analysis.witness_protocol(model, (100, 1000.0))
-        with pytest.raises(ValueError, match="trunc_factor 2.5 is not an integer"):
-            analysis.witness_protocol(model, (100,), trunc_factor=2.5)
-
-
-@pytest.mark.parametrize("model", ["interval", "disc"])
-def test_witness_protocol_refuses_trunc_factor_below_one(monkeypatch, model):
-    # Refused before any witness is built, not run at the truncation floor.
-    def no_witness(*args, **kwargs):
-        raise AssertionError("a witness was built for a bad trunc_factor")
-
-    monkeypatch.setattr(interval, "interval_witness", no_witness)
-    for trunc_factor in (0, -5):
-        with pytest.raises(ValueError, match="trunc_factor must be >= 1"):
-            analysis.witness_protocol(model, (100, 1000), trunc_factor=trunc_factor)
+        with pytest.raises(ValueError, match="grid point True is not an integer"):
+            analysis.witness_protocol(model, (True, 1000))
+    # Numpy integers are accepted and reported as Python ints.
+    report = analysis.witness_protocol("interval", (np.int64(100), np.int64(1000)))
+    assert [type(point) for point in report.grid] == [int, int]
+    dumped = json.dumps(analysis.witness_report_dict(report))
+    assert json.loads(dumped)["grid"] == [100, 1000]
 
 
 def test_disc_protocol_runs_one_bracket_per_grid_point(monkeypatch):
@@ -485,7 +496,7 @@ def test_disc_protocol_runs_one_bracket_per_grid_point(monkeypatch):
 )
 def test_witness_report_rows_schema(model, header):
     # The truncation is one column, L, on both models.
-    report = analysis.witness_protocol(model, (20, 60), trunc_factor=50)
+    report = analysis.witness_protocol(model, (20, 60))
     rows = analysis.witness_report_rows(report)
     assert ",".join(rows[0]) == header
     assert cli._rows_to_csv_text(rows).splitlines()[0] == header
@@ -533,33 +544,21 @@ def test_cli_index_json(capsys):
 
 def test_cli_interval_json(tmp_path):
     out = tmp_path / "interval.json"
-    code = cli.main(
-        ["interval", "--grid", "20,60", "--trunc-factor", "50", "--out", str(out)]
-    )
+    code = cli.main(["interval", "--grid", "20,60", "--out", str(out)])
     data = json.loads(out.read_text())
     assert data["grid"] == [20, 60]
     assert code == (0 if data["verdict"] == "pass" else 1)
 
 
 @pytest.mark.parametrize("model", ["interval", "disc"])
-def test_cli_trunc_factor_defaults_to_the_protocols(capsys, monkeypatch, model):
-    # Without --trunc-factor the CLI reads analysis.DEFAULT_TRUNC_FACTOR and
-    # restates no number: patched to 7, a run without the flag matches one
-    # with --trunc-factor 7, and its truncations L are 7 times the grid.
-    monkeypatch.setattr(analysis, "DEFAULT_TRUNC_FACTOR", 7)
-    runs = []
-    for extra in ([], ["--trunc-factor", "7"]):
-        code = cli.main([model, "--grid", "200,300", "--format", "csv", *extra])
-        runs.append((code, capsys.readouterr()))
-    assert runs[0] == runs[1]
-    rows = list(csv.DictReader(io.StringIO(runs[0][1].out)))
-    assert [int(row["L"]) for row in rows] == [1400, 2100]
+def test_cli_refuses_trunc_factor(capsys, model):
+    # The truncation is a fixed rule, not an option: the flag is unknown.
+    assert cli.main([model, "--trunc-factor", "7"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_interval_csv(capsys):
-    code = cli.main(
-        ["interval", "--grid", "20,60", "--trunc-factor", "50", "--format", "csv"]
-    )
+    code = cli.main(["interval", "--grid", "20,60", "--format", "csv"])
     assert code in (0, 1)
     assert capsys.readouterr().out.startswith("m,L,xi_norm_sq_closed,")
 
@@ -600,6 +599,26 @@ def test_readme_cli_block_runs(tmp_path):
                 json.loads(out.read_text())
         else:
             assert run.stdout, argv
+
+
+def test_readme_cli_flags_are_accepted():
+    # Every --flag the README's CLI section names is an option of the parser,
+    # at top level or of some subcommand, so a removed flag cannot linger in
+    # the docs.
+    parser = cli.build_parser()
+    (subcommands,) = [
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    accepted = {
+        flag
+        for p in (parser, *subcommands.choices.values())
+        for action in p._actions
+        for flag in action.option_strings
+    }
+    section = README.read_text().split("## CLI", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    assert {"--grid", "--threads", "--out"} <= named
+    assert named <= accepted, named - accepted
 
 
 def test_cli_config_errors(capsys, tmp_path, monkeypatch):
@@ -644,29 +663,31 @@ def test_cli_config_errors(capsys, tmp_path, monkeypatch):
         assert captured.out == ""
         assert captured.err == "error: grid must be strictly increasing\n"
     # A truncation past the term limit is refused before numpy is asked for an
-    # image sum of that length, also just above the limit.
-    assert cli.main(["interval", "--grid", "5", "--trunc-factor", "99999999999"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: truncation 499999999995 ")
-    above = analysis.MAX_WITNESS_TERMS + 1
-    assert cli.main(["interval", "--grid", "1", "--trunc-factor", str(above)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"error: truncation {above} ")
-    # The protocol refuses a bad trunc_factor; an existing --out file is kept.
+    # image sum of that length, also just above the limit; the error names the
+    # grid point and its truncation.
+    above = analysis.MAX_WITNESS_TERMS // analysis.TRUNC_FACTOR + 1
+    for grid in ("5,4000000", f"{above}"):
+        assert cli.main(["interval", "--grid", grid]) == 2
+        captured = capsys.readouterr()
+        point = int(grid.split(",")[-1])
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: grid point {point} (truncation {10 * point}): exceeds "
+            f"{analysis.MAX_WITNESS_TERMS} witness terms\n"
+        )
+    # The protocol refuses a bad grid; an existing --out file is kept.
     existing = tmp_path / "existing.json"
     existing.write_text("kept\n")
     bad_inputs = (
-        ["interval", "--grid", "10", "--trunc-factor", "0"],
-        ["interval", "--grid", "10", "--trunc-factor", "-3"],
-        ["interval", "--grid", "10", "--trunc-factor", "0", "--out", str(existing)],
+        ["interval", "--grid=0,10"],
+        ["interval", "--grid=-3"],
+        ["interval", "--grid=0,10", "--out", str(existing)],
     )
     for argv in bad_inputs:
         assert cli.main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: trunc_factor must be >= 1"), argv
+        assert captured.err.startswith("error: grid points must be >= 1"), argv
     assert existing.read_text() == "kept\n"
     unwritable = (
         ["disc", "--grid", "10", "--out", os.path.join(missing, "x.json")],
@@ -723,17 +744,13 @@ _GRID_BELOW_ONE = st.lists(st.integers(-(10**6), 10**6), max_size=3).flatmap(
 _GRID_NOT_INCREASING = st.lists(st.integers(1, 10**6), min_size=2, max_size=4).filter(
     lambda grid: grid != sorted(set(grid))
 )
-_GRID = st.lists(st.integers(1, 10**6), min_size=1, max_size=4, unique=True).map(sorted)
-_BAD_WITNESS = st.one_of(
-    st.tuples(st.one_of(_GRID_BELOW_ONE, _GRID_NOT_INCREASING), st.integers(1, 20)),
-    st.tuples(_GRID, st.integers(max_value=0)),
-    _GRID.flatmap(
-        lambda grid: st.tuples(
-            st.just(grid),
-            st.integers(analysis.MAX_WITNESS_TERMS // grid[-1] + 1, 10**12),
-        )
-    ),
+# A grid holding a point whose truncation exceeds the term limit.
+_GRID_ABOVE_LIMIT = st.lists(st.integers(1, 10**6), max_size=3).flatmap(
+    lambda rest: st.integers(
+        analysis.MAX_WITNESS_TERMS // analysis.TRUNC_FACTOR + 1, 10**12
+    ).map(lambda high: sorted({high, *rest}))
 )
+_BAD_WITNESS = st.one_of(_GRID_BELOW_ONE, _GRID_NOT_INCREASING, _GRID_ABOVE_LIMIT)
 
 
 def _sizes_one_disc_dimension(n_max):
@@ -757,14 +774,14 @@ _BAD_SIZES = st.one_of(
 @given(
     argv=st.one_of(
         st.tuples(st.sampled_from(["interval", "disc"]), _BAD_WITNESS).map(
-            lambda t: [t[0], _grid_arg(t[1][0]), f"--trunc-factor={t[1][1]}"]
+            lambda t: [t[0], _grid_arg(t[1])]
         ),
         _BAD_SIZES.map(lambda sizes: ["sweep", "--sizes=" + ",".join(map(str, sizes))]),
     ),
     csv_format=st.booleans(),
 )
 @example(argv=["disc", "--grid=0,5"], csv_format=False)
-@example(argv=["interval", "--grid=10", "--trunc-factor=0"], csv_format=False)
+@example(argv=["interval", "--grid=10,3355444"], csv_format=False)
 @example(argv=["sweep", "--sizes=8,16"], csv_format=False)
 def test_cli_refuses_bad_input_before_any_work(argv, csv_format):
     # Every rule on the input has one owner (witness_protocol, compression_sweeps
@@ -900,15 +917,15 @@ def test_threads_flag_leaves_one_os_thread(argv):
     reason="needs os.wait4 and ru_maxrss in KiB",
 )
 def test_witness_term_limit_memory_claim():
-    # The comment on analysis.MAX_WITNESS_TERMS: peak RSS of `interval --grid 1
-    # --trunc-factor N` grows by under 100 bytes per term, so the limit needs
-    # under 3 GiB.  Measured at 1e6, 4e6 and 1.6e7 terms: 58 bytes per term,
-    # set by the truncated image sum, and 1.84 GiB by linear extrapolation.
+    # The comment on analysis.MAX_WITNESS_TERMS: peak RSS of `interval --grid
+    # N/10` grows by under 100 bytes per term, so the limit needs under 3 GiB.
+    # Measured at 1e6, 4e6 and 1.6e7 terms: 58 bytes per term, set by the
+    # truncated image sum, and 1.84 GiB by linear extrapolation.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     peak = {}
     for terms in (10**6, 4 * 10**6):
-        argv = ["interval", "--grid", "1", "--trunc-factor", str(terms)]
+        argv = ["interval", "--grid", str(terms // analysis.TRUNC_FACTOR)]
         proc = subprocess.Popen(
             [sys.executable, "-m", "noncompact", *argv, "--out", os.devnull],
             env=env,

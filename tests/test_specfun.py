@@ -604,12 +604,13 @@ def test_zero_argument_errors(zero_table):
         specfun.bessel_zero(-2, 1)
     # A non-integer rank or order is refused on a cold table and after its
     # zeros are cached alike, where a rank used to index the cached array and
-    # an order equal to a cached one (2.0) found its row.
+    # an order equal to a cached one (2.0) found its row.  A bool is not an
+    # integer here: True would run as 1.
     for _ in range(2):
-        for k in (2.5, 2.0, "3"):
+        for k in (2.5, 2.0, "3", True):
             with pytest.raises(ValueError, match="rank k"):
                 specfun.bessel_zero(0, k)
-        for n in (2.5, 2.0, "3"):
+        for n in (2.5, 2.0, "3", True):
             with pytest.raises(ValueError, match="order"):
                 specfun.bessel_zero(n, 1)
         specfun.bessel_zeros(3, 5)
@@ -620,15 +621,18 @@ def test_bessel_zeros_count_errors(zero_table):
     # With ranks stored as an array prefix, a negative count would slice from
     # the end of the cached zeros instead of failing.
     specfun.bessel_zeros(0, 5)
-    for k_max in (-1, -5, 2.0, 2.5, "3"):
+    for k_max in (-1, -5, 2.0, 2.5, "3", True):
         with pytest.raises(ValueError):
             specfun.bessel_zeros(0, k_max)
-    # The order follows the same rule: an integer type, >= 0.
-    for n in (-1, 2.0, 2.5, "3"):
+    # The order follows the same rule: an integer type other than bool, >= 0.
+    for n in (-1, 2.0, 2.5, "3", True):
         with pytest.raises(ValueError, match="order"):
             specfun.bessel_zeros(n, 3)
     assert specfun.bessel_zeros(0, 0).shape == (0,)
     assert specfun.bessel_zeros(0, np.int64(3)).shape == (3,)
+    # Numpy integers are accepted and stored under int orders.
+    assert specfun.bessel_zeros(np.int64(2), np.int64(3)).shape == (3,)
+    assert [type(n) for n in zero_table.rows] == [int] * len(zero_table.rows)
 
 
 def test_bessel_zeros_returns_a_copy(zero_table):

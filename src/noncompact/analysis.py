@@ -28,10 +28,12 @@ MIN_TRUNCATION = 1000
 NESTING_TOL = 1e-10
 INTERVAL_BOUND = 1.0 / (4.0 * math.pi**2)
 XI_NORM_CAP = 1.01
-# Peak RSS of `noncompact interval --grid N/10` (N terms) grows by under
-# 100 bytes per term (85 MiB at N = 1e6, 251 MiB at 4e6 and 914 MiB at 1.6e7:
-# 58 bytes per term, set by the truncated image sum; 1.84 GiB at this limit
-# by linear extrapolation), so this many terms need under 3 GiB.
+# Peak RSS of `noncompact MODEL --grid N/10` (N terms) grows linearly in N.
+# Interval: 58 bytes per term, set by the truncated image sum (85 MiB at
+# N = 1e6, 251 MiB at 4e6, 914 MiB at 1.6e7), so 1.84 GiB at this limit by
+# extrapolation.  Disc: 120 bytes per term up to 1e6 (59 MiB at 2.5e5, 145
+# MiB at 1e6) and 101 from 4e6 (488 MiB) to 1.6e7 (1648 MiB), set by its L
+# image rows and their far-column sums, so 3.3-3.8 GiB at this limit.
 MAX_WITNESS_TERMS = 1 << 25
 # Peak RSS of `noncompact --threads 1 sweep --sizes N` is 153, 281 and 568
 # MiB at N = 2^18, 2^19 and 2^20 (3.8 s, 12.8 s and 50 s), about 512 bytes
@@ -233,10 +235,7 @@ def witness_protocol(model: str, grid: tuple[int, ...]) -> WitnessReport:
     points = []
     for point, trunc in zip(grid, truncs):
         xi = spec.witness(point)
-        try:
-            zeta, pairing, upper_row = spec.image(point, trunc, spec.pairing_indices)
-        except ValueError as exc:  # e.g. specfun refusing a Bessel-zero rank
-            raise ValueError(f"grid point {point} (truncation {trunc}): {exc}") from exc
+        zeta, pairing, upper_row = spec.image(point, trunc, spec.pairing_indices)
         points.append((xi, zeta**2, spec.bound(point), pairing, upper_row))
     xi_closed, zeta_sq, bounds, pairings, upper = map(list, zip(*points))
     bounded = all(xi <= XI_NORM_CAP for xi in xi_closed)

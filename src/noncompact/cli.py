@@ -18,12 +18,9 @@ WITNESS_GRIDS = {"interval": [100, 1000, 10000], "disc": [100, 1000]}
 
 def _int_list(text: str) -> list[int]:
     try:
-        values = [int(part) for part in text.split(",") if part]
+        return [int(part) for part in text.split(",")]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {exc}")
-    if not values:
-        raise argparse.ArgumentTypeError("expected at least one integer")
-    return values
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -5,8 +5,9 @@ r e^{-i theta}, the compact diagonal correction, and the witness sequence.
 Modes are labeled (branch, n, k, sign) with eigenvalue sign * alpha_{n-1,k},
 alpha_{n,k} the k-th positive zero of J_n.  Within each sign, modes are
 ordered lexicographically in (branch, n, k), so assembled matrices are
-reproducible.  The zeros come from specfun, so the spectra and the witness
-sums need numpy alone.
+reproducible.  The spectra take their zeros from specfun; the witness sums
+take the first 64 zeros of J_0 and McMahon's upper end past them, on rows as
+on columns.  Both need numpy alone.
 """
 
 from __future__ import annotations
@@ -98,17 +99,18 @@ def disc_image_coefficient(n: int, k: int, truncation: int) -> float:
 def disc_image_coefficients(n: int, k_rows: int, truncation: int) -> np.ndarray:
     """disc_image_coefficient for k = 1..k_rows: sqrt(n) times a lower bound
     of sum_{l<=L} 1/((n+l)(alpha_{0,k}+alpha_{0,l})) (float64 rounding is not
-    controlled).  Columns l <= M = min(64, L) are summed exactly, one column
-    at a time over all rows, so memory stays O(k_rows).  Columns l > M need
-    no zeros, by McMahon's alpha_{0,l} < beta + 1/(8 beta), beta = pi(l - 1/4)
-    (checked, not proven): with r+- the roots of beta^2 + A beta + 1/8,
-    A = alpha_{0,k}, the term is at least beta/((beta - r+)(beta - r-)), whose
-    partial fractions in l are each a specfun.pair_sum."""
+    controlled).  Rows and columns j <= 64 take the zeros of J_0; past them,
+    both take McMahon's upper end beta + 1/(8 beta) > alpha_{0,j}, beta =
+    pi(j - 1/4) (checked at 40 digits, not proven).  Columns l <= M = min(64, L)
+    are summed one at a time over all rows, so memory stays O(k_rows); past M,
+    with r+- the roots of beta^2 + A beta + 1/8, A the row's node, the term
+    beta/((beta - r+)(beta - r-)) splits in l into two specfun.pair_sums."""
     if n < 1 or k_rows < 1 or truncation < 1:
         raise ValueError("n, k_rows, truncation must be >= 1")
     m = min(64, truncation)
-    a = specfun.bessel_zeros(0, max(k_rows, m))
-    rows = a[:k_rows]
+    a = specfun.bessel_zeros(0, 64)
+    beta = math.pi * (np.arange(65, k_rows + 1) - 0.25)
+    rows = np.concatenate((a, beta + 0.125 / beta))[:k_rows]
     terms = 1.0 / (n + np.arange(1, m + 1, dtype=float))
 
     def far(r):  # sum_{l=M+1}^{L} 1/((n+l)(l+c)) at c = -1/4 - r/pi

@@ -135,28 +135,39 @@ def test_image_coefficients_vector_matches_scalar():
 # 5000 rows of 64 exact columns and a far field.
 @example(n=50, k_rows=5000, truncation=300)
 def test_image_coefficients_match_fsum(n, k_rows, truncation):
-    # Oracle: each row's terms summed exactly by math.fsum.  For L <= 64 every
-    # term is summed.  Past it the far columns come in closed form from
-    # McMahon's upper end, within 2.4e-12 relative of the sum on these draws
-    # (n <= 50, k_rows and L <= 300, and the examples).
-    a = specfun.bessel_zeros(0, max(k_rows, truncation))
+    # Oracle: each row's terms summed exactly by math.fsum, on the nodes the
+    # sums take: the zeros of J_0 up to rank 64 and McMahon's upper end
+    # beta + 1/(8 beta) past it.  For L <= 64 every term is summed.  Past it
+    # the far columns come in closed form, within 2.4e-13 relative of the sum
+    # on these draws (n <= 50, k_rows and L <= 300, and the examples).
+    size = max(k_rows, truncation)
+    a = specfun.bessel_zeros(0, size)
+    beta = math.pi * (np.arange(65, size + 1) - 0.25)
+    nodes = np.concatenate((a[:64], beta + 0.125 / beta))
     ell = np.arange(1, truncation + 1, dtype=float)
-    expected = np.array([
-        math.sqrt(n) * math.fsum(1.0 / ((n + ell) * (a[k] + a[:truncation])))
-        for k in range(k_rows)
-    ])
+
+    def fsum_rows(z):
+        return np.array([
+            math.sqrt(n) * math.fsum(1.0 / ((n + ell) * (z[k] + z[:truncation])))
+            for k in range(k_rows)
+        ])
+
+    expected = fsum_rows(nodes)
     got = disc.disc_image_coefficients(n, k_rows, truncation)
     if truncation <= 64:
         np.testing.assert_allclose(got, expected, rtol=1e-13)
     else:
         assert np.all(np.abs(got - expected) <= 1e-10 * expected)
+    # McMahon's upper end only lowers a row past 64: the lower-bound direction.
+    exact = fsum_rows(a)
+    assert np.all(got[64:] <= exact[64:] * (1 + 1e-13))
 
 
 def test_image_coefficients_buffer_is_bounded():
     # 50 000 x 20 terms would be an 8 MB temporary; one column at a time,
     # the sum holds a few vectors of 50 000 entries (400 kB each).  The zeros
     # are computed before tracing starts.
-    specfun.bessel_zeros(0, 50_000)
+    specfun.bessel_zeros(0, 64)
     tracemalloc.start()
     try:
         disc.disc_image_coefficients(5, 50_000, 20)

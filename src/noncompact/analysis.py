@@ -29,11 +29,11 @@ NESTING_TOL = 1e-10
 INTERVAL_BOUND = 1.0 / (4.0 * math.pi**2)
 XI_NORM_CAP = 1.01
 # Peak RSS of `noncompact MODEL --grid N/10` (N terms) grows linearly in N.
-# Interval: 58 bytes per term, set by the truncated image sum (85 MiB at
-# N = 1e6, 251 MiB at 4e6, 914 MiB at 1.6e7), so 1.84 GiB at this limit by
-# extrapolation.  Disc: 120 bytes per term up to 1e6 (59 MiB at 2.5e5, 145
-# MiB at 1e6) and 101 from 4e6 (488 MiB) to 1.6e7 (1648 MiB), set by its L
-# image rows and their far-column sums, so 3.3-3.8 GiB at this limit.
+# Interval: 16 bytes per term, its row indices and truncated image sum, as
+# pair_sum works through fixed blocks (45 MiB at N = 1e6, 90 MiB at 4e6, 274
+# MiB at 1.6e7), so 0.53 GiB at this limit by extrapolation.  Disc: 72 bytes
+# per term (47 MiB at 2.5e5, 99 MiB at 1e6, 305 MiB at 4e6), set by its L
+# image rows, their node roots and far-column sums, so 2.3 GiB at this limit.
 MAX_WITNESS_TERMS = 1 << 25
 # Peak RSS of `noncompact --threads 1 sweep --sizes N` is 153, 281 and 568
 # MiB at N = 2^18, 2^19 and 2^20 (3.8 s, 12.8 s and 50 s), about 512 bytes

@@ -1,11 +1,14 @@
-"""Special-function kernels: psi and psi' in numpy, the partial-fraction sum
-pair_sum behind every witness closed form, J_0 and J_1 in numpy, and the
-positive Bessel zeros with sign-change brackets.
+"""Special-function kernels: the partial-fraction sum pair_sum behind every
+witness closed form, J_0 and J_1 in numpy, and the positive Bessel zeros
+with sign-change brackets.
 
-psi and psi' shift the argument up to x >= PSI_SERIES_MIN by recurrence
-(DLMF 5.5.2) and sum the asymptotic series through B_14 (DLMF 5.11.2 and
-5.15.8), whose remainder is at most the first omitted term (DLMF 5.11(ii)),
-below 2.5e-20 there; float64 rounding is not controlled.
+pair_sum is one kernel, sum_{l>=0} 1/((x+l)(x+l+h)), at two arguments.  It
+sums the terms at arguments below PAIR_SERIES_MIN directly and the rest by
+Euler-Maclaurin summation through B_14 (DLMF 2.10.1), whose remainder is
+below 2.5e-20 (DLMF 5.11(ii)).  The Bernoulli terms are taken as one divided
+difference, so nothing cancels near h = 0.  Float64 rounding is not
+controlled: against 40-digit mpmath the kernel errs by at most 1.7 eps
+relative on x in [0.01, 1e7], h in {0} and [1e-9, 1e7].
 
 bessel_j01 gives J_0 and J_1 from Hankel's expansion for x >= HANKEL_MIN
 and from Bessel's integral, summed by the trapezoidal rule, below it; J_n
@@ -37,8 +40,8 @@ HANKEL_MIN = 25.0
 # many sqrt(n + 1) eps sqrt(2/(pi x)): over 3 times _jv_pair's error bound,
 # 20 in the same unit, measured against mpmath (see its docstring).
 J_SIGN_MARGIN = 64.0
-# psi and psi1 sum their asymptotic series at arguments at least this large.
-PSI_SERIES_MIN = 16.0
+# _pair_tail sums its Euler-Maclaurin series at arguments at least this large.
+PAIR_SERIES_MIN = 16.0
 # B_2, B_4, ..., B_14 (DLMF Table 24.2.1).
 _BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
 
@@ -48,89 +51,75 @@ class BracketError(RuntimeError):
     J_n inside its isolating interval was found for it."""
 
 
-def _shift_up(x, power: int):
-    """(y, low, s): y = x + j for the least integer j >= 0 with y >= PSI_SERIES_MIN,
-    the mask low = j > 0, and s = sum_{i<j} (x + i)^-power at the entries
-    y[low], summed smallest term first (it is 0 at the others)."""
-    x = np.asarray(x, dtype=float)
-    # y holds j until x is added at the end; every step writes in place.
-    y = np.subtract(PSI_SERIES_MIN, x, out=np.empty(x.shape))
-    np.ceil(y, out=y)
-    np.maximum(y, 0.0, out=y)
-    low = y > 0
-    xl, jl = x[low], y[low]
-    s = np.zeros(jl.shape)
-    for i in reversed(range(int(jl.max(initial=0.0)))):
-        s += np.where(i < jl, (xl + i) ** -power, 0.0)
-    y += x
-    return y, low, s
-
-
-def psi(x):
-    """Digamma function psi(x) for x > 0, elementwise: psi(x) = psi(y) -
-    sum_{i<j} 1/(x + i) with y = x + j >= PSI_SERIES_MIN (DLMF 5.5.2), and
-    psi(y) = ln y - 1/(2y) - sum_{k=1}^{7} B_2k/(2k y^2k) (DLMF 5.11.2), whose
-    remainder is at most the first omitted term |B_16|/(16 y^16) < 2.5e-20
-    (DLMF 5.11(ii)).  Float64 rounding is not controlled: against mpmath on
-    [1, 1e7] the error stays below 6 eps (1 + |psi(x)|) (4.5 measured)."""
-    y, low, s = _shift_up(x, 1)
-    w = np.multiply(y, y, out=np.empty(y.shape))
-    np.divide(1.0, w, out=w)
-    series = _BERNOULLI[-1] / (2 * len(_BERNOULLI)) * w
+def _pair_tail(x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """sum_{l>=0} 1/((x+l)(x+l+h)) elementwise, for x > 0 and h >= 0.  The
+    terms l < j, with j >= 0 the least integer such that y = x + j >=
+    PAIR_SERIES_MIN, are summed directly, smallest first.  From y on,
+    Euler-Maclaurin summation (DLMF 2.10.1) of f(t) = 1/((y+t)(y+t+h)) gives
+    log1p(h/y)/h (1/y at h = 0) + ab/2 + sum_{k=1}^{7} B_2k (a^2k - b^2k)/(2k h)
+    with a = 1/y and b = 1/(y+h).  As a - b = hab, the last sum is ab(a+b)
+    times the divided difference (P(a^2) - P(b^2))/(a^2 - b^2) of P(u) =
+    sum_k B_2k u^k/(2k), which one Horner pass evaluates at both points
+    together: no difference of two large values is formed, and h = 0 needs
+    no branch.  f is (1/h)(1/(y+t) - 1/(y+t+h)), so the remainder is the
+    difference quotient of that of the series of psi (DLMF 5.11.2), which
+    by the mean value theorem is at most the first omitted term of the
+    series of psi', |B_16|/y^17 < 2.5e-20 (DLMF 5.11(ii), 5.15.8)."""
+    low = np.flatnonzero(x < PAIR_SERIES_MIN)
+    xl, hl = x[low], h[low]
+    j = np.ceil(PAIR_SERIES_MIN - xl)
+    head = np.zeros(low.size)
+    for i in reversed(range(int(j.max(initial=0.0)))):
+        t = xl + i
+        head += np.where(i < j, 1.0 / (t * (t + hl)), 0.0)
+    y = x.copy()
+    y[low] += j
+    out = np.divide(h, y)
+    np.log1p(out, out=out)
+    np.divide(out, h, out=out, where=h > 0)
+    b = np.add(y, h)
+    np.divide(1.0, b, out=b)
+    a = np.divide(1.0, y, out=y)
+    np.copyto(out, a, where=h == 0)
+    # p runs Horner's rule for P(v)/v, d for (P(u) - P(v))/(u - v).
+    u, v = a * a, b * b
+    p = np.full(a.shape, _BERNOULLI[-1] / (2 * len(_BERNOULLI)))
+    d = np.zeros(a.shape)
     for k in reversed(range(len(_BERNOULLI) - 1)):
-        series += _BERNOULLI[k] / (2 * k + 2)
-        series *= w
-    # ln y - (1/(2y) + series) - s, reusing the buffers of w and y.
-    np.divide(0.5, y, out=w)
-    w += series
-    np.log(y, out=y)
-    y -= w
-    y[low] -= s
-    return y[()]
-
-
-def psi1(x):
-    """Trigamma function psi'(x) for x > 0, elementwise: psi'(x) = psi'(y) +
-    sum_{i<j} 1/(x + i)^2 with y = x + j >= PSI_SERIES_MIN (DLMF 5.15.5), and
-    psi'(y) = 1/y + 1/(2y^2) + sum_{k=1}^{7} B_2k/y^(2k+1) (DLMF 5.15.8).  The
-    remainder is at most the first omitted term |B_16|/y^17 < 2.5e-20: the
-    series is the derivative of the one in psi, and the bound of DLMF 5.11(ii)
-    carries over.  Float64 rounding is not controlled: against mpmath on
-    [1, 1e7] the error stays below 3 eps psi'(x) (1.97 measured)."""
-    y, low, s = _shift_up(x, 2)
-    w = np.multiply(y, y, out=np.empty(y.shape))
-    np.divide(1.0, w, out=w)
-    series = _BERNOULLI[-1] * w
-    for b in reversed(_BERNOULLI[:-1]):
-        series += b
-        series *= w
-    # (1 + 1/(2y) + series)/y + s, in the buffer of w.
-    np.divide(0.5, y, out=w)
-    w += 1.0
-    w += series
-    w /= y
-    w[low] += s
-    return w[()]
+        d *= u
+        d += p
+        p *= v
+        p += _BERNOULLI[k] / (2 * k + 2)
+    d *= u
+    d += p
+    # out += ab (1/2 + (a+b) d), in the buffers of d, p and u.
+    d *= np.add(a, b, out=p)
+    d += 0.5
+    d *= np.multiply(a, b, out=u)
+    out += d
+    out[low] += head
+    return out
 
 
 def pair_sum(a: float, b, lo: int, hi: int | None = None) -> np.ndarray:
     """sum_{l=lo+1}^{hi} 1/((l+a)(l+b)), elementwise over the array b, with
-    hi=None meaning infinity; every l + a and l + b must be positive.  Partial
-    fractions and sum_{l=lo+1}^{hi} 1/(l+x) = psi(hi+1+x) - psi(lo+1+x) (DLMF
-    5.5.2) make it that difference at b minus the one at a, over a - b, and
-    psi'(lo+1+a) - psi'(hi+1+a) where b = a (DLMF 5.15.1); psi(hi+1+.) drops
-    out at hi = infinity (DLMF 5.7.6).  psi and psi1 above are the only
-    evaluations: their series truncation is below 2.5e-20.  Float64 rounding
-    is not controlled: for b near a the differences cancel."""
+    hi=None meaning infinity; every l + a and l + b must be positive.  It is
+    _pair_tail at x = lo+1+min(a, b) and h = |a - b|, minus the same at x =
+    hi+1+min(a, b) for finite hi: one path for every b, the diagonal b = a
+    being h = 0.  Entries are taken in blocks of 2^12, so the temporaries
+    do not grow with b.  Float64 rounding is not controlled: on the
+    interval and disc cases of the tests it errs by at most 8.4 eps
+    relative, where the tails at lo and hi cancel by up to a factor 11."""
     b = np.asarray(b, dtype=float)
-
-    def diff(f, x):  # f(hi+1+x) - f(lo+1+x)
-        return (0.0 if hi is None else f(hi + 1 + x)) - f(lo + 1 + x)
-
     out = np.empty(b.shape)
-    off = b != a
-    out[off] = (diff(psi, b[off]) - diff(psi, a)) / (a - b[off])
-    out[~off] = -diff(psi1, a)
+    flat, flat_out, size = b.reshape(-1), out.reshape(-1), 1 << 12
+    for start in range(0, b.size, size):
+        part = flat[start : start + size]
+        least, h = np.minimum(a, part), np.abs(a - part)
+        block = _pair_tail(lo + 1 + least, h)
+        if hi is not None:
+            block -= _pair_tail(hi + 1 + least, h)
+        flat_out[start : start + size] = block
     return out
 
 

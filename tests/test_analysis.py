@@ -951,14 +951,14 @@ def test_threads_flag_leaves_one_os_thread(argv):
 )
 def test_witness_term_limit_memory_claim():
     # The comment on analysis.MAX_WITNESS_TERMS: peak RSS of `MODEL --grid
-    # N/10` grows linearly in the N terms.  The interval takes 58 bytes per
-    # term (measured at 1e6, 4e6 and 1.6e7 terms), 1.84 GiB at the limit by
-    # linear extrapolation; the disc 120 bytes per term up to 1e6 terms and
-    # 101 from 4e6 to 1.6e7, 3.3-3.8 GiB at the limit.  Per model: the two
-    # term counts, the bound on the slope and on the peak at the limit.
+    # N/10` grows linearly in the N terms.  The interval takes 16 bytes per
+    # term (measured at 1e6, 4e6 and 1.6e7 terms), 0.53 GiB at the limit by
+    # linear extrapolation; the disc 72 bytes per term (measured at 2.5e5,
+    # 1e6 and 4e6), 2.3 GiB at the limit.  Per model: the two term counts,
+    # the bound on the slope and on the peak at the limit.
     claims = {
-        "interval": ((10**6, 4 * 10**6), 100, 3 * 2**30),
-        "disc": ((25 * 10**4, 10**6), 128, 4 * 2**30),
+        "interval": ((10**6, 4 * 10**6), 24, 3 * 2**28),
+        "disc": ((25 * 10**4, 10**6), 90, 3 * 2**30),
     }
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
@@ -989,7 +989,7 @@ def test_python_dash_m_runs_the_cli():
 
 def test_subcommands_import_only_what_they_use():
     # `index` loads no numpy, and `interval`, `disc` and `sweep` no scipy:
-    # their psi sums and the zeros of every J_n, sign checks included, are
+    # their pair_sums and the zeros of every J_n, sign checks included, are
     # numpy.
     probe = (
         "import os, sys; from noncompact import cli; "

@@ -21,13 +21,6 @@ from noncompact import disc, interval, specfun
 # --- independent oracles -----------------------------------------------------
 
 
-def euler_gamma_oracle(terms: int = 10**6) -> float:
-    # Harmonic sum with Euler-Maclaurin correction; error ~ 1/(120 N^4).
-    n = np.arange(1, terms + 1, dtype=float)
-    h = float(np.sum(1.0 / n))
-    return h - math.log(terms) - 1.0 / (2 * terms) + 1.0 / (12 * terms**2)
-
-
 def basel_oracle(terms: int = 2000) -> float:
     # Partial sum of 1/n^2 plus integral tail correction; error ~ 1/(30 N^5).
     n = np.arange(1, terms + 1, dtype=float)
@@ -66,68 +59,73 @@ def bisect_series_zero(n: int, lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-# --- psi and psi' against independent oracles ---------------------------------
-# specfun.pair_sum calls only specfun.psi and specfun.psi1; the zero search
-# and its sign check take J_n from the recurrence on specfun.bessel_j01, and
-# the test oracles call J_n and I_n from scipy.special directly.
+# --- pair_sum and its kernel against independent oracles ----------------------
+# specfun.pair_sum calls only specfun._pair_tail; the zero search and its
+# sign check take J_n from the recurrence on specfun.bessel_j01, and the test
+# oracles call J_n and I_n from scipy.special directly.  The identities below
+# are those of psi and psi' (DLMF 5.5.2, 5.7.6, 5.15.1), read as pair_sums:
+# pair_sum(a, a, lo) = psi'(lo+1+a) and pair_sum(a, a+1, lo) = psi(lo+2+a) -
+# psi(lo+1+a).
 
 
 def test_digamma_recurrence_step():
-    assert specfun.psi(2.0) - specfun.psi(1.0) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_digamma_at_one_is_minus_euler_gamma():
-    assert specfun.psi(1.0) == pytest.approx(-euler_gamma_oracle(), abs=1e-12)
-
-
-def test_digamma_log_asymptotics():
-    m = 10**6
-    assert specfun.psi(m + 1.0) / math.log(m + 1) == pytest.approx(1.0, rel=5e-7)
+    # psi(2) - psi(1) = 1: sum_{l>=1} 1/(l(l+1)) telescopes.
+    assert specfun.pair_sum(0, 1, 0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_trigamma_at_one_is_basel_sum():
-    assert specfun.psi1(1.0) == pytest.approx(basel_oracle(), abs=1e-12)
-    assert specfun.psi1(1.0) == pytest.approx(1.6449340668482264, abs=1e-12)
+    assert specfun.pair_sum(0, 0, 0) == pytest.approx(basel_oracle(), abs=1e-12)
+    assert specfun.pair_sum(0, 0, 0) == pytest.approx(math.pi**2 / 6, abs=1e-12)
 
 
 def test_trigamma_recurrence_from_one():
-    assert specfun.psi1(2.0) == pytest.approx(math.pi**2 / 6 - 1, abs=1e-12)
+    assert specfun.pair_sum(0, 0, 1) == pytest.approx(math.pi**2 / 6 - 1, abs=1e-12)
 
 
 def test_trigamma_asymptotics():
     m = 10**5
-    assert (m + 1) * specfun.psi1(m + 1.0) == pytest.approx(1.0, abs=1e-5)
+    assert (m + 1) * specfun.pair_sum(m, m, 0) == pytest.approx(1.0, abs=1e-5)
 
 
 @pytest.mark.parametrize("x", [0.5, 1.0, 2.5, 10.0, 1000.0])
 def test_polygamma_recurrences(x):
-    assert specfun.psi(x + 1) - specfun.psi(x) == pytest.approx(1.0 / x, abs=1e-12)
-    assert specfun.psi1(x + 1) - specfun.psi1(x) == pytest.approx(
-        -1.0 / x**2, abs=1e-12
-    )
+    # At a = x - 1 and b = a + h, the step from lo = 0 to 1 drops the term
+    # l = 1, 1/(x(x + h)): psi'(x) - psi'(x+1) = 1/x^2 at h = 0, and the
+    # same step of psi(x+1) - psi(x) at h = 1.
+    for h in (0.0, 1.0):
+        step = specfun.pair_sum(x - 1, x - 1 + h, 0) - specfun.pair_sum(
+            x - 1, x - 1 + h, 1
+        )
+        assert step == pytest.approx(1.0 / (x * (x + h)), abs=1e-12)
 
 
-def test_psi_and_psi1_match_mpmath():
-    # 2000 log-uniform points in [1, 1e7], 201 around the zero of psi at
-    # x0 = 1.4616..., and the ends of the series range, against mpmath at 30
-    # digits.  The bounds are the ones the docstrings state: 6 eps (1 + |psi|)
-    # for psi, 3 eps relative for psi'.  Measured on 40 000 points, 30 000 of
-    # them in [1, 17]: at most 4.5 and 1.97.
-    x0 = 1.4616321449683622
+def test_pair_tail_matches_mpmath():
+    # sum_{l>=0} 1/((x+l)(x+l+h)) is (psi(x+h) - psi(x))/h, and psi'(x) at
+    # h = 0.  3000 log-uniform x in [0.01, 1e7], each with h = 0 or a
+    # log-uniform h in [1e-9, 1e7], and both ends of the series range at
+    # h = 0 and 1, against mpmath at 40 digits.  The bound is 3 eps relative
+    # (measured: at most 1.7).
     rng = np.random.default_rng(14)
     x = np.concatenate(
         [
-            np.exp(rng.uniform(0.0, math.log(1e7), 2000)),
-            x0 + np.linspace(-1e-3, 1e-3, 201),
-            [1.0, np.nextafter(16.0, 0.0), 16.0, 1e7],
+            np.exp(rng.uniform(math.log(0.01), math.log(1e7), 3000)),
+            [np.nextafter(16.0, 0.0), 16.0] * 2,
         ]
     )
-    with mpmath.workdps(30):
-        want = np.array([float(mpmath.digamma(v)) for v in x])
-        want1 = np.array([float(mpmath.psi(1, v)) for v in x])
+    h = np.exp(rng.uniform(math.log(1e-9), math.log(1e7), x.size))
+    h[rng.random(x.size) < 0.2] = 0.0
+    h[-4:] = [0.0, 0.0, 1.0, 1.0]
+    assert np.sum(h == 0) > 400 and np.sum(x < 16) > 1000
+
+    def tail(u, v):
+        if v == 0:
+            return mpmath.psi(1, u)
+        return (mpmath.digamma(u + v) - mpmath.digamma(u)) / v
+
+    with mpmath.workdps(40):
+        want = np.array([float(tail(mpmath.mpf(u), mpmath.mpf(v))) for u, v in zip(x, h)])
     eps = np.finfo(float).eps
-    assert np.all(np.abs(specfun.psi(x) - want) <= 6 * eps * (1 + np.abs(want)))
-    assert np.all(np.abs(specfun.psi1(x) - want1) <= 3 * eps * want1)
+    assert np.all(np.abs(specfun._pair_tail(x, h) - want) <= 3 * eps * want)
 
 
 # --- pair_sum against the sums themselves --------------------------------------
@@ -142,16 +140,6 @@ def pair_sum_oracle(a, b, lo, hi):
             return float(mpmath.nsum(term, [lo + 1, mpmath.inf], method="e"))
     ell = np.arange(lo + 1, hi + 1, dtype=float)
     return math.fsum(1.0 / ((ell + a) * (ell + b)))
-
-
-def psi_scale(a, b, lo, hi):
-    # The psi values the closed form combines, over |a - b| (psi' at b = a):
-    # for b near a they cancel, leaving rounding of order eps times this.
-    def size(order, x):
-        top = 0.0 if hi is None else abs(sp.polygamma(order, hi + 1 + x))
-        return top + abs(sp.polygamma(order, lo + 1 + x))
-
-    return size(1, a) if b == a else (size(0, a) + size(0, b)) / abs(a - b)
 
 
 def _near(a, spread=2):
@@ -181,22 +169,25 @@ PAIR_SUM_CASES = (
     # The disc bracket: c = k - 1/4 and k - 1/2, hi = infinity.
     + [(n, [k - d for k in {1, 3, n, n + 1, 4000} for d in (0.25, 0.5)], 0, None)
        for n in (1, 7, 1000, 10**4)]
+    # Near the diagonal, where a difference of psi values would cancel.
+    + [(a, [a + d for d in (-1e-3, -1e-6, 1e-6, 1e-3)], lo, hi) for a in (7, 10**4)
+       for lo, hi in ((0, 1000), (0, None))]
 )
 
 
 @pytest.mark.parametrize("a, bs, lo, hi", PAIR_SUM_CASES)
 def test_pair_sum_matches_the_summed_terms(a, bs, lo, hi):
-    # The worst error measured on these cases is 0.78 eps (psi_scale + |sum|)
-    # (a = b = 1, hi = 1000); the tolerance is 4 eps times that scale.  Near
-    # the diagonal the cancellation makes it up to 8.2e-11 relative (a = 10^4,
-    # b = 9998, hi = 1000); on the diagonal itself it stays below 1e-15.
+    # The worst error measured on these cases is 8.4 eps relative (a = 10^4,
+    # b = a - 1e-3, hi = 1000, where the tails at lo and hi cancel to a
+    # tenth); the tolerance is 16 eps.  A difference of psi values over
+    # a - b errs by 8.1e5 eps at a = 10^4, b = 9998, hi = 1000, and by
+    # 1.4e-5 relative at b = a - 1e-6.
     got = specfun.pair_sum(a, np.array(bs, dtype=float), lo, hi)
     assert got.shape == (len(bs),)
     eps = np.finfo(float).eps
     for value, b in zip(got, bs):
         want = pair_sum_oracle(a, b, lo, hi)
-        tol = 4 * eps * (psi_scale(a, b, lo, hi) + abs(want))
-        assert abs(value - want) <= tol, (a, b, lo, hi, value, want)
+        assert abs(value - want) <= 16 * eps * want, (a, b, lo, hi, value, want)
 
 
 def test_every_closed_form_goes_through_pair_sum(monkeypatch):
